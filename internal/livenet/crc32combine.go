@@ -2,34 +2,57 @@ package livenet
 
 // CRC-32 is a linear function over GF(2): the checksum of a
 // concatenation A||B can be computed from crc(A), crc(B), and len(B)
-// alone, without touching the bytes, by advancing crc(A) through len(B)
-// zero bytes (a GF(2) matrix power) and xoring in crc(B). That lets a
-// memory-mode NM verify a spliced image's whole-image digest from the
-// per-chunk CRCs it already verified individually — O(chunks · log
-// chunk-size) instead of an O(image-bytes) read-back pass. This is the
-// classic zlib crc32_combine construction for the IEEE polynomial.
+// alone, without touching the bytes, by multiplying crc(A) by
+// x^(8·len(B)) modulo the CRC polynomial and xoring in crc(B). That lets
+// a memory-mode NM verify a spliced image's whole-image digest from the
+// per-chunk CRCs it already verified individually, instead of an
+// O(image-bytes) read-back pass.
+//
+// This is zlib's (≥1.2.12) crc32_combine construction for the IEEE
+// polynomial. x2nTable holds x^(2^n) mod P for n = 0..31, built once at
+// init; x^(8·len) is the product of the entries for the set bits of len,
+// so one combine costs O(popcount(len)) multiplications of at most 32
+// shift-and-xor steps each. Because x has multiplicative order dividing
+// 2^32-1 modulo P, x^(2^32) = x^(2^0) and the table index wraps mod 32.
 
 // ieeeReversedPoly is the reversed (LSB-first) form of the IEEE CRC-32
 // polynomial, matching hash/crc32's IEEE table.
 const ieeeReversedPoly = 0xedb88320
 
-// gf2MatrixTimes multiplies a 32x32 GF(2) matrix by a vector.
-func gf2MatrixTimes(mat *[32]uint32, vec uint32) uint32 {
-	var sum uint32
-	for i := 0; vec != 0; i++ {
-		if vec&1 != 0 {
-			sum ^= mat[i]
-		}
-		vec >>= 1
+// x2nTable[n] = x^(2^n) mod P in the bit-reflected representation.
+var x2nTable = func() (t [32]uint32) {
+	p := uint32(1) << 30 // x^1
+	t[0] = p
+	for n := 1; n < 32; n++ {
+		p = multmodp(p, p)
+		t[n] = p
 	}
-	return sum
+	return t
+}()
+
+// multmodp returns a·b mod P for bit-reflected polynomials (bit 31 is
+// x^0). The loop is branch-free on the data bits: each step adds b when
+// the current bit of a is set, then multiplies b by x.
+func multmodp(a, b uint32) uint32 {
+	var p uint32
+	for ; a != 0; a <<= 1 {
+		p ^= b & -(a >> 31)
+		b = b>>1 ^ ieeeReversedPoly&-(b&1)
+	}
+	return p
 }
 
-// gf2MatrixSquare squares a 32x32 GF(2) matrix into dst.
-func gf2MatrixSquare(dst, mat *[32]uint32) {
-	for n := range dst {
-		dst[n] = gf2MatrixTimes(mat, mat[n])
+// x2nmodp returns x^(n·2^k) mod P.
+func x2nmodp(n int64, k uint) uint32 {
+	p := uint32(1) << 31 // x^0
+	for ; n != 0; n >>= 1 {
+		if n&1 != 0 {
+			// p first: while p is still x^0 the multiply is one step.
+			p = multmodp(p, x2nTable[k&31])
+		}
+		k++
 	}
+	return p
 }
 
 // crc32Combine returns crc32.ChecksumIEEE(A||B) given crc1 =
@@ -38,37 +61,5 @@ func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
 	if len2 <= 0 {
 		return crc1
 	}
-	var even, odd [32]uint32
-	// odd = the operator that advances a CRC by one zero bit.
-	odd[0] = ieeeReversedPoly
-	row := uint32(1)
-	for n := 1; n < 32; n++ {
-		odd[n] = row
-		row <<= 1
-	}
-	// Each squaring doubles how many zero bits the operator advances.
-	// Two squarings turn the 1-bit operator into the 4-bit one; the
-	// loop below squares on, applying the current operator for each set
-	// bit of len2 (len2 counts bytes, so the loop starts at 8 bits).
-	gf2MatrixSquare(&even, &odd) // 2 zero bits
-	gf2MatrixSquare(&odd, &even) // 4 zero bits
-	for {
-		gf2MatrixSquare(&even, &odd) // 8, 32, 128, ... zero bits
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&even, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-		gf2MatrixSquare(&odd, &even) // 16, 64, 256, ... zero bits
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&odd, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-	}
-	return crc1 ^ crc2
+	return multmodp(x2nmodp(len2, 3), crc1) ^ crc2
 }

@@ -3,6 +3,7 @@ package livenet
 import (
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,5 +100,51 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			t.Fatal("corrupt job should fail")
 		}
 	}()
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestNMCloseRacesRelayDials closes one end of a relay link while
+// several goroutines dial it concurrently, with the other end left
+// running. Concurrent dials to one address replace each other in the
+// link cache, yet the dialing NM's Close must close every link whose
+// ack pump it waits for; and the accepting NM's Close must close every
+// inbound link, including one accepted while it was closing. Close must
+// return, and the process must return to its goroutine baseline.
+func TestNMCloseRacesRelayDials(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for round := 0; round < 10; round++ {
+		_, nms, shutdown := chaosCluster(t, 2, chaosMMConfig(), nil)
+		src, dst := nms[0], nms[1]
+		victim := src // even rounds: the dialing end closes
+		if round%2 == 1 {
+			victim = dst // odd rounds: the accepting end closes
+		}
+		addr := dst.PeerAddr()
+		start := make(chan struct{})
+		var dials sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			dials.Add(1)
+			go func() {
+				defer dials.Done()
+				<-start
+				for k := 0; k < 4; k++ {
+					src.dialChild(addr) // errors once either end is closed
+				}
+			}()
+		}
+		close(start)
+		closed := make(chan struct{})
+		go func() {
+			victim.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: NM %d Close hung with relay dials in flight", round, victim.node)
+		}
+		dials.Wait()
+		shutdown()
+	}
 	waitForGoroutines(t, base, 5*time.Second)
 }

@@ -1723,31 +1723,60 @@ func (mm *MM) plan(j *liveJob) error {
 // per-chunk content hashes and CRCs plus the whole-image digest. For
 // seeded (content-addressed) images the result is cached MM-side keyed
 // by content identity, so a warm relaunch skips the generate-and-hash
-// pass over the whole image and opens at near-control-plane cost.
+// pass over the whole image and opens at near-control-plane cost. A
+// miss on a seed already manifested under another patch derives from
+// that manifest: a seeded chunk's bytes depend only on (content seed,
+// index, size), so every chunk whose content seed is the same under
+// both patches keeps its hash and CRC, and only the others are
+// generated. Cached manifests are never mutated, so reading a base
+// outside mu is safe.
 func (mm *MM) buildManifest(j *liveJob) *manifestData {
 	frag := mm.cfg.FragBytes
-	var key manifestKey
+	var key, baseKey manifestKey
+	var base *manifestData
 	cacheable := j.spec.ImageSeed != 0
 	if cacheable {
 		key = manifestKey{seed: j.spec.ImageSeed, patchFP: patchFingerprint(j.spec.ImagePatch),
 			bytes: j.spec.BinaryBytes, frag: frag}
 		mm.mu.Lock()
 		d := mm.manifests[key]
-		mm.mu.Unlock()
 		if d != nil && patchEqual(d.patch, j.spec.ImagePatch) {
+			mm.mu.Unlock()
 			return d
 		}
+		// The cache is tiny (see the bound below), so a scan finds the
+		// base; the one with the fewest patched chunks shares the most.
+		for k, c := range mm.manifests {
+			if k.seed == key.seed && k.bytes == key.bytes && k.frag == key.frag &&
+				(base == nil || len(c.patch) < len(base.patch)) {
+				base, baseKey = c, k
+			}
+		}
+		mm.mu.Unlock()
 	}
 	d := &manifestData{
 		seed:   j.spec.ImageSeed,
 		hashes: make([]uint64, j.frags),
 		crcs:   make([]uint32, j.frags),
 	}
+	todo := make([]int, 0, j.frags)
+	var baseSpec JobSpec
+	if base != nil {
+		baseSpec = JobSpec{ImageSeed: base.seed, ImagePatch: base.patch}
+	}
+	for i := 0; i < j.frags; i++ {
+		if base != nil && chunkSeed(&baseSpec, i) == chunkSeed(&j.spec, i) {
+			d.hashes[i], d.crcs[i] = base.hashes[i], base.crcs[i]
+		} else {
+			todo = append(todo, i)
+		}
+	}
 	// Chunks are independent (generate + hash + CRC each), so the pass
 	// fans out over a small worker pool; the whole-image digest then
 	// folds the per-chunk CRCs in order with crc32Combine, which equals
 	// the sequential crc32.Update over the concatenation.
-	parallelChunks(j.frags, func(i int) {
+	parallelChunks(len(todo), func(k int) {
+		i := todo[k]
 		size := chunkSizeFor(&j.spec, frag, i)
 		data := grabFragBuf(size)
 		fillChunkInto(&j.spec, j.id, i, data)
@@ -1767,8 +1796,12 @@ func (mm *MM) buildManifest(j *liveJob) *manifestData {
 		}
 		mm.mu.Lock()
 		if len(mm.manifests) >= 16 {
-			// Tiny bound, rarely hit: images come from a handful of seeds.
+			// Tiny bound: images come from a handful of seeds. The base
+			// survives the reset, so the seed's next patch still derives.
 			mm.manifests = make(map[manifestKey]*manifestData)
+			if base != nil {
+				mm.manifests[baseKey] = base
+			}
 		}
 		mm.manifests[key] = d
 		mm.mu.Unlock()

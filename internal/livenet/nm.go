@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
@@ -89,6 +90,7 @@ type NM struct {
 	digests map[int]ImageDigest // job -> digest of the delivered image
 	peers   map[*conn]struct{}  // inbound relay connections
 	dialed  map[string]*conn    // outbound relay links, cached across jobs
+	pumps   map[*conn]struct{}  // outbound links with a running ack pump
 	gates   map[int]*gateRow    // job -> gang gate + row
 	ctl     *nmCtl              // control-tree role (heartbeat/strobe relay)
 
@@ -216,6 +218,7 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		digests: make(map[int]ImageDigest),
 		peers:   make(map[*conn]struct{}),
 		dialed:  make(map[string]*conn),
+		pumps:   make(map[*conn]struct{}),
 		gates:   make(map[int]*gateRow),
 		closed:  make(chan struct{})}
 	var peerAddr string
@@ -409,7 +412,10 @@ func (nm *NM) Close() {
 	for pc := range nm.peers {
 		pc.close()
 	}
-	for _, cc := range nm.dialed {
+	// Close every pumped link, not just the cached ones: a concurrent
+	// dial to the same address replaces a link in dialed while its pump
+	// still runs.
+	for cc := range nm.pumps {
 		cc.close()
 	}
 	for _, st := range nm.bins {
@@ -477,9 +483,17 @@ func (nm *NM) acceptPeers() {
 		}
 		pc := newConnProf(nc, nm.profile())
 		nm.mu.Lock()
+		select {
+		case <-nm.closed:
+			// Close already swept peers: this conn would never be closed.
+			nm.mu.Unlock()
+			pc.close()
+			return
+		default:
+		}
 		nm.peers[pc] = struct{}{}
-		nm.mu.Unlock()
 		nm.wg.Add(1)
+		nm.mu.Unlock()
 		go nm.servePeer(pc)
 	}
 }
@@ -643,17 +657,30 @@ func (nm *NM) peerConn(addr string) (*conn, error) {
 	return nm.dialChild(addr)
 }
 
+// errNMClosed refuses a relay dial that lost the race with Close.
+var errNMClosed = errors.New("livenet: NM closed")
+
 // dialChild opens a fresh relay link to addr, caches it, and starts its
-// ack pump.
+// ack pump. Registration happens under mu after the closed check, so a
+// link dialed while Close runs is closed here rather than leaked, and
+// Close never waits on a pump it cannot reach.
 func (nm *NM) dialChild(addr string) (*conn, error) {
 	cc, err := dialProf(nm.cfg.Dialer, nm.cfg.WrapConn, addr, nm.profile())
 	if err != nil {
 		return nil, err
 	}
 	nm.mu.Lock()
+	select {
+	case <-nm.closed:
+		nm.mu.Unlock()
+		cc.close()
+		return nil, errNMClosed
+	default:
+	}
 	nm.dialed[addr] = cc
-	nm.mu.Unlock()
+	nm.pumps[cc] = struct{}{}
 	nm.wg.Add(1)
+	nm.mu.Unlock()
 	go nm.pumpChildAcks(cc)
 	return cc, nil
 }
@@ -724,6 +751,7 @@ func (nm *NM) pumpChildAcks(cc *conn) {
 				delete(nm.dialed, addr)
 			}
 		}
+		delete(nm.pumps, cc)
 		nm.mu.Unlock()
 		cc.close()
 	}()
