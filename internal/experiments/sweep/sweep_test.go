@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -32,6 +33,7 @@ func TestRunUsesMultipleWorkers(t *testing.T) {
 	// track the peak number of in-flight points.
 	var inFlight, peak atomic.Int64
 	block := make(chan struct{})
+	var release sync.Once
 	Run(Indices(8), 4, func(i, pt int) int {
 		n := inFlight.Add(1)
 		for {
@@ -41,11 +43,8 @@ func TestRunUsesMultipleWorkers(t *testing.T) {
 			}
 		}
 		if n >= 2 {
-			select {
-			case <-block:
-			default:
-				close(block)
-			}
+			// Two points can see the overlap at once; close exactly once.
+			release.Do(func() { close(block) })
 		}
 		<-block // everyone holds until two points overlap
 		inFlight.Add(-1)

@@ -2,13 +2,15 @@
 // connections for chaos testing. A Conn wraps a net.Conn and applies a
 // Plan — a fixed schedule of faults keyed to byte offsets and fragment
 // ordinals observed on the wire — so a failure scenario is fully
-// reproducible from its seed: hard close at fragment k or at gob frame
-// k, one-way partitions, per-write delay, duplicated and corrupted frag
-// frames, and injected dial failures.
+// reproducible from its seed: hard close at fragment k or at control
+// frame k, one-way partitions, per-write delay, duplicated and
+// corrupted frag frames, and injected dial failures.
 //
-// The wrapper is frame-aware: it runs the livenet frame grammar
-// ('G' gob frames, 'F' frag frames with an 18-byte header carrying the
-// payload length at offset 13, 'A' fixed 18-byte acks, the fixed typed
+// The wrapper is frame-aware: it runs the livenet frame grammar ('G'
+// control frames — Register, Submit, Plan, Launch and the other job- and
+// membership-rate kinds — behind a u32 length prefix, 'F' frag frames
+// with an 18-byte header carrying the payload length at offset 13, 'A'
+// fixed 18-byte acks, the fixed typed
 // control frames 'P'/'Q'/'S'/'T', the varlen control frames
 // 'K'/'R'/'D' whose fixed part ends in a u16 error length, and the
 // delta-transfer frames 'M'/'H'/'N' whose fixed part carries a tail
@@ -48,7 +50,7 @@ type Plan struct {
 	WriteDelay    time.Duration // injected before every write
 	DuplicateFrag int           // retransmit the k-th outgoing frag frame immediately after itself
 	CorruptFrag   int           // flip a payload byte of the k-th outgoing frag frame (CRC must catch it)
-	FailWriteGob  int           // hard-close before any byte of the k-th outgoing gob ('G') frame reaches the wire
+	FailWriteGob  int           // hard-close before any byte of the k-th outgoing 'G' control frame (Plan, Launch, ...) reaches the wire
 
 	// CtlFaults target typed control frames this endpoint sends; each
 	// fault fires at most once. Faults on distinct frames compose.
@@ -208,7 +210,7 @@ const (
 	stType      = 0 // expecting a frame type byte
 	stGobLen    = 1
 	stFragHdr   = 2
-	stSkipN     = 3 // skipping a fixed-size remainder (ack body, gob payload, ctl error)
+	stSkipN     = 3 // skipping a fixed-size remainder (ack body, control payload, ctl error)
 	stFragBody  = 4
 	stCtl       = 5 // inside a fixed-body typed control frame
 	stVarHdr    = 6 // reading the fixed part of a varlen control frame
@@ -255,7 +257,7 @@ type scanner struct {
 	got     int
 	bodyPos int // current byte's offset within a frag payload
 	frags   int // frag frames seen so far; current ordinal is frags-1
-	gobs    int // gob frames seen so far; current ordinal is gobs-1
+	gobs    int // 'G' frames seen so far; current ordinal is gobs-1
 
 	ctlKind   byte   // type byte of the fixed control frame being scanned
 	ctlCounts [4]int // per-kind ordinals for 'P','Q','S','T'
@@ -276,8 +278,8 @@ type event struct {
 	ctlKind  byte
 	ctlOrd   int // per-kind ordinal the ctl event refers to
 
-	gobBegin bool // this byte is the type byte of a gob frame
-	gobOrd   int  // gob ordinal the event refers to
+	gobBegin bool // this byte is the type byte of a 'G' frame
+	gobOrd   int  // 'G' ordinal the event refers to
 }
 
 func (s *scanner) step(b byte) event {
@@ -512,13 +514,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 		ev := c.wScan.step(b)
 		if ev.gobBegin && ev.gobOrd == c.plan.FailWriteGob {
 			// Crash before the frame: everything earlier in this chunk goes
-			// out, the targeted gob frame never starts. The receiver sees a
+			// out, the targeted 'G' frame never starts. The receiver sees a
 			// clean frame boundary then EOF; the sender sees a write error.
 			if len(out) > 0 {
 				c.Conn.Write(out)
 			}
 			c.kill("gob-close")
-			return i, fmt.Errorf("%w (at outgoing gob frame %d)", ErrInjectedClose, ev.gobOrd)
+			return i, fmt.Errorf("%w (at outgoing 'G' frame %d)", ErrInjectedClose, ev.gobOrd)
 		}
 		if ev.fragHdrDone && ev.ord == c.plan.CloseAtFrag {
 			// Crash mid-frame: flush what was already on the wire plus

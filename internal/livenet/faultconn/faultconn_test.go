@@ -90,7 +90,7 @@ func pipeConn(t *testing.T) (net.Conn, net.Conn) {
 }
 
 // TestScannerCountsFragsAcrossChunking: frag ordinals are found no
-// matter how the byte stream is sliced, with gob and ack frames mixed in.
+// matter how the byte stream is sliced, with 'G' and ack frames mixed in.
 func TestScannerCountsFragsAcrossChunking(t *testing.T) {
 	var stream []byte
 	stream = append(stream, buildGob(33)...)

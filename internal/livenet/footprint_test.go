@@ -18,11 +18,10 @@ const footprintNodes = 64
 // NMs): 3 goroutines (NM loop, NM accept loop, MM-side serve) and two
 // 64 KiB-buffered conn pairs. Hub mode deletes the per-NM listener and
 // accept goroutine; the lite profile shrinks the bufio pairs to 8 KiB;
-// the persistent per-link gob codec buys its launch-path CPU win at
-// ~50 KiB of compiled type state per MM link. The ceilings below are
-// generous against the measured post-change numbers (~2.05 goroutines,
-// ~89 KiB per NM) but far below the seed — a regression to per-NM
-// accept loops or bulk buffers trips them immediately.
+// the control codec keeps no per-link state. The ceilings below are
+// generous against the measured numbers (~2.03 goroutines, ~36 KiB per
+// NM) but far below the seed — a regression to per-NM accept loops or
+// bulk buffers trips them immediately.
 func TestPerNMFootprint(t *testing.T) {
 	heapNow := func() uint64 {
 		runtime.GC()

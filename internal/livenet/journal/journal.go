@@ -19,7 +19,7 @@
 // is indistinguishable from a clean end of log.
 //
 // The package holds no livenet types: event payloads are opaque bytes
-// (the MM gob-encodes job specs into Data), so journal can be tested —
+// (the MM stores encoded job specs in Data), so journal can be tested —
 // and reused — on its own.
 package journal
 
@@ -88,7 +88,7 @@ func (t EventType) String() string {
 
 // Event is one journal record. Job and Node are whichever identities the
 // type concerns (zero when not applicable); Data is an opaque payload
-// owned by the writer (the MM stores gob-encoded job specs and error
+// owned by the writer (the MM stores encoded job specs and error
 // strings there).
 type Event struct {
 	Type EventType

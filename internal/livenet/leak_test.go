@@ -148,3 +148,100 @@ func TestNMCloseRacesRelayDials(t *testing.T) {
 	}
 	waitForGoroutines(t, base, 5*time.Second)
 }
+
+// TestNMPeerConnSingleFlight races many first dials to one relay
+// address. Exactly one dial may reach the network, and every caller
+// must get the same link; the NM's Close afterwards must reap the
+// link's ack pump along with everything else.
+func TestNMPeerConnSingleFlight(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var dstAddr atomic.Value
+	dstAddr.Store("")
+	var dials atomic.Int32
+	_, nms, shutdown := chaosCluster(t, 2, chaosMMConfig(), func(node int) NMConfig {
+		if node != 0 {
+			return NMConfig{}
+		}
+		return NMConfig{Dialer: func(addr string) (net.Conn, error) {
+			if addr == dstAddr.Load().(string) {
+				dials.Add(1)
+				// Hold the dial open so every racer arrives while it is
+				// still in flight.
+				time.Sleep(50 * time.Millisecond)
+			}
+			return net.DialTimeout("tcp", addr, 5*time.Second)
+		}}
+	})
+	src, dst := nms[0], nms[1]
+	addr := dst.PeerAddr()
+	dstAddr.Store(addr)
+
+	const racers = 16
+	conns := make([]*conn, racers)
+	errs := make([]error, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			conns[i], errs[i] = src.peerConn(addr)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range conns {
+		if errs[i] != nil {
+			t.Fatalf("racer %d: %v", i, errs[i])
+		}
+		if conns[i] == nil || conns[i] != conns[0] {
+			t.Fatalf("racer %d got link %p, racer 0 got %p", i, conns[i], conns[0])
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d racing first dials to one address reached the network %d times, want 1", racers, n)
+	}
+	src.mu.Lock()
+	pumps := len(src.pumps)
+	src.mu.Unlock()
+	if pumps != 1 {
+		t.Fatalf("%d ack pumps running for one relay address, want 1", pumps)
+	}
+	shutdown()
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestNMLaunchAfterCloseRefused hands an NM a gang Launch after Close
+// has swept its gates. The launch must be refused: a gate registered
+// then is never cancelled, so its gated processes would wait forever on
+// a strobe and leak.
+func TestNMLaunchAfterCloseRefused(t *testing.T) {
+	base := runtime.NumGoroutine()
+	_, nms, shutdown := chaosCluster(t, 1, chaosMMConfig(), nil)
+	nm := nms[0]
+	nm.Close()
+	const job = 77
+	nm.mu.Lock()
+	nm.bins[job] = &binState{complete: true}
+	nm.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nm.onLaunch(&Launch{Job: job, Ranks: []int{0, 1}, Gang: true,
+			Spec: JobSpec{Program: ProgramSpec{Kind: "sleep", Duration: time.Second}}})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("onLaunch after Close hung")
+	}
+	nm.mu.Lock()
+	gates, launches := len(nm.gates), nm.launches
+	nm.mu.Unlock()
+	if gates != 0 || launches != 0 {
+		t.Fatalf("closed NM accepted a launch: %d gates, %d processes", gates, launches)
+	}
+	shutdown()
+	waitForGoroutines(t, base, 5*time.Second)
+}

@@ -1,12 +1,11 @@
 package livenet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -566,19 +565,28 @@ type RecoveredJob struct {
 	Done   bool
 }
 
-// encodeSpec/decodeSpec gob a JobSpec into the journal's opaque Data.
+// specFormat tags a journaled JobSpec record; the JobSpec body of the
+// control codec follows. The tag lies in 0x80..0xF7, a range no gob
+// stream can open with (gob leads with a uint message length: a byte
+// below 0x80, or a byte-count marker in 0xF8..0xFF), so a record an
+// older gob-journaling MM wrote fails decodeSpec instead of misparsing.
+const specFormat = 0xA1
+
+// encodeSpec/decodeSpec carry a JobSpec in the journal's opaque Data.
 func encodeSpec(spec *JobSpec) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
-		return nil
-	}
-	return buf.Bytes()
+	w := wire{b: []byte{specFormat}}
+	w.jobSpec(spec)
+	return w.b
 }
 
 func decodeSpec(b []byte) (JobSpec, error) {
 	var spec JobSpec
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&spec)
-	return spec, err
+	if len(b) == 0 || b[0] != specFormat {
+		return spec, errors.New("livenet: journal spec: unknown record format")
+	}
+	w := wire{b: b[1:], dec: true}
+	w.jobSpec(&spec)
+	return spec, w.finish()
 }
 
 // openJournal replays the write-ahead log under dir (if any), rebuilds
@@ -2303,29 +2311,11 @@ func (mm *MM) pruneStripe(j *liveJob, ss *stripeState, dead map[int]string) erro
 func (mm *MM) awaitPlans(j *liveJob, deadline time.Time) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for {
-		if j.fail != nil {
-			return j.fail
-		}
-		missing := ""
-		for _, link := range j.nodes {
-			if !j.planned[link.node] {
-				if missing != "" {
-					missing += ", "
-				}
-				missing += fmt.Sprintf("%d", link.node)
-			}
-		}
-		if missing == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: job %d: relay plan unconfirmed by nodes %s", ErrTransferTimeout, j.id, missing)
-		}
-		t := time.AfterFunc(100*time.Millisecond, func() { j.cond.Broadcast() })
-		j.cond.Wait()
-		t.Stop()
+	missing, err := j.awaitConfirmed(j.nodes, j.planned, deadline)
+	if missing != "" {
+		return fmt.Errorf("%w: job %d: relay plan unconfirmed by nodes %s", ErrTransferTimeout, j.id, missing)
 	}
+	return err
 }
 
 // awaitStripePlans blocks until every node of the stripe's tree
@@ -2334,25 +2324,40 @@ func (mm *MM) awaitPlans(j *liveJob, deadline time.Time) error {
 func (mm *MM) awaitStripePlans(j *liveJob, ss *stripeState, deadline time.Time) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	missing, err := j.awaitConfirmed(ss.order, ss.planned, deadline)
+	if missing != "" {
+		return fmt.Errorf("%w: job %d stripe %d: relay replan unconfirmed by nodes %s",
+			ErrTransferTimeout, j.id, ss.id, missing)
+	}
+	return err
+}
+
+// awaitConfirmed waits, with j.mu held, until planned holds every node
+// of nodes or the job fails. Past the deadline it returns the
+// unconfirmed nodes as a ", "-joined list instead. A confirmation never
+// turns off within one barrier, so a cursor over the confirmed prefix
+// makes the whole barrier O(nodes), not O(nodes) per acknowledgement;
+// the list is built only on timeout.
+func (j *liveJob) awaitConfirmed(nodes []*nmLink, planned map[int]bool, deadline time.Time) (string, error) {
+	confirmed := 0
 	for {
 		if j.fail != nil {
-			return j.fail
+			return "", j.fail
 		}
-		missing := ""
-		for _, link := range ss.order {
-			if !ss.planned[link.node] {
-				if missing != "" {
-					missing += ", "
-				}
-				missing += fmt.Sprintf("%d", link.node)
-			}
+		for confirmed < len(nodes) && planned[nodes[confirmed].node] {
+			confirmed++
 		}
-		if missing == "" {
-			return nil
+		if confirmed == len(nodes) {
+			return "", nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: job %d stripe %d: relay replan unconfirmed by nodes %s",
-				ErrTransferTimeout, j.id, ss.id, missing)
+			var missing []string
+			for _, link := range nodes[confirmed:] {
+				if !planned[link.node] {
+					missing = append(missing, strconv.Itoa(link.node))
+				}
+			}
+			return strings.Join(missing, ", "), nil
 		}
 		t := time.AfterFunc(100*time.Millisecond, func() { j.cond.Broadcast() })
 		j.cond.Wait()

@@ -45,7 +45,7 @@ func mtCluster(t *testing.T, n int, cfg MMConfig) (*MM, []*NM) {
 // that already received their Launch must be aborted — their processes
 // reaped promptly — and the error must name the failing node. The
 // injected fault hard-closes NM 1's conn immediately before its second
-// outgoing gob frame (G#0 is the Plan, G#1 is the Launch), so node 0
+// outgoing 'G' control frame (G#0 is the Plan, G#1 is the Launch), so node 0
 // has always launched by the time node 1's Launch write fails.
 func TestLaunchFailurePartialAbort(t *testing.T) {
 	cfg := MMConfig{Fanout: 2, FragBytes: 32 << 10, AckTimeout: 700 * time.Millisecond}

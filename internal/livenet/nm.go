@@ -85,14 +85,15 @@ type NM struct {
 	cache  *chunkcache.Cache // nil when caching is disabled
 
 	mu      sync.Mutex
-	bins    map[int]*binState   // job -> receive state
-	relays  map[int]*relayState // job -> forwarding-tree state
-	digests map[int]ImageDigest // job -> digest of the delivered image
-	peers   map[*conn]struct{}  // inbound relay connections
-	dialed  map[string]*conn    // outbound relay links, cached across jobs
-	pumps   map[*conn]struct{}  // outbound links with a running ack pump
-	gates   map[int]*gateRow    // job -> gang gate + row
-	ctl     *nmCtl              // control-tree role (heartbeat/strobe relay)
+	bins    map[int]*binState     // job -> receive state
+	relays  map[int]*relayState   // job -> forwarding-tree state
+	digests map[int]ImageDigest   // job -> digest of the delivered image
+	peers   map[*conn]struct{}    // inbound relay connections
+	dialed  map[string]*conn      // outbound relay links, cached across jobs
+	dialing map[string]*relayDial // first dials in flight, one per address
+	pumps   map[*conn]struct{}    // outbound links with a running ack pump
+	gates   map[int]*gateRow      // job -> gang gate + row
+	ctl     *nmCtl                // control-tree role (heartbeat/strobe relay)
 
 	// counters, guarded by mu: fragments verified, fragments relayed
 	// downstream, processes forked, gang context switches enacted.
@@ -643,18 +644,44 @@ func (nm *NM) onReplan(p *Replan) {
 		Epoch: p.Epoch, Stripe: p.Stripe, Received: received}})
 }
 
+// relayDial is one in-flight relay dial that concurrent callers for the
+// same address wait on instead of dialing themselves.
+type relayDial struct {
+	done chan struct{}
+	c    *conn
+	err  error
+}
+
 // peerConn returns the relay connection to a downstream NM, dialing it
 // and starting its ack pump on first use. Links are cached across jobs
 // and closed only when the NM shuts down: re-dialing the tree on every
 // launch would put n-1 TCP handshakes on each job's critical path.
+// Dials are single-flight per address: callers racing to a link that is
+// not cached yet share one dial and its outcome, so no second link to
+// the same child is opened and left idle until Close.
 func (nm *NM) peerConn(addr string) (*conn, error) {
 	nm.mu.Lock()
-	cc, ok := nm.dialed[addr]
-	nm.mu.Unlock()
-	if ok {
+	if cc, ok := nm.dialed[addr]; ok {
+		nm.mu.Unlock()
 		return cc, nil
 	}
-	return nm.dialChild(addr)
+	if d, ok := nm.dialing[addr]; ok {
+		nm.mu.Unlock()
+		<-d.done
+		return d.c, d.err
+	}
+	d := &relayDial{done: make(chan struct{})}
+	if nm.dialing == nil {
+		nm.dialing = make(map[string]*relayDial)
+	}
+	nm.dialing[addr] = d
+	nm.mu.Unlock()
+	d.c, d.err = nm.dialChild(addr)
+	nm.mu.Lock()
+	delete(nm.dialing, addr)
+	nm.mu.Unlock()
+	close(d.done)
+	return d.c, d.err
 }
 
 // errNMClosed refuses a relay dial that lost the race with Close.
@@ -705,7 +732,7 @@ func (nm *NM) relayFrag(job int, rc *relayChild, f *Frag) bool {
 	// atomic per connection, so the peer discards any partial frame
 	// with the dead socket and the retry is a clean re-send.
 	nm.evictDialed(cc)
-	cc2, err2 := nm.dialChild(rc.addr)
+	cc2, err2 := nm.peerConn(rc.addr)
 	if err2 == nil {
 		nm.mu.Lock()
 		rc.c = cc2
@@ -1437,7 +1464,7 @@ func (nm *NM) relayMsg(job int, rc *relayChild, m Message) bool {
 		return true
 	}
 	nm.evictDialed(cc)
-	cc2, err2 := nm.dialChild(rc.addr)
+	cc2, err2 := nm.peerConn(rc.addr)
 	if err2 == nil {
 		nm.mu.Lock()
 		rc.c = cc2
@@ -1640,11 +1667,21 @@ func (nm *NM) onLaunch(l *Launch) {
 		return
 	}
 	// Gang mode: processes start gated and run only when their row is
-	// strobed; otherwise they free-run.
+	// strobed; otherwise they free-run. The gate registers under mu
+	// after the closed check: once Close has swept the gates, a gate
+	// registered here would never be cancelled, and its gated processes
+	// would wait on a strobe that is never coming.
 	g := newGate(!l.Gang)
 	nm.mu.Lock()
+	select {
+	case <-nm.closed:
+		nm.mu.Unlock()
+		return
+	default:
+	}
 	nm.gates[l.Job] = &gateRow{g: g, row: l.Row}
 	nm.launches += len(l.Ranks)
+	nm.wg.Add(1)
 	nm.mu.Unlock()
 	var procs sync.WaitGroup
 	for _, rank := range l.Ranks {
@@ -1654,7 +1691,6 @@ func (nm *NM) onLaunch(l *Launch) {
 			runProgram(l.Spec.Program, rank, g)
 		}(rank)
 	}
-	nm.wg.Add(1)
 	go func() {
 		defer nm.wg.Done()
 		procs.Wait()

@@ -15,19 +15,24 @@
 // actual distributed resource manager on localhost, not only as a
 // simulator.
 //
-// Wire format: every message is a length-delimited frame. Low-rate
-// control messages (registration, launch, heartbeats, strobes, plans)
-// travel as gob payloads inside a 'G' frame; the bulk path — binary
-// fragments and their acks — uses fixed binary headers ('F' and 'A'
-// frames) so a fragment is encoded exactly once and every child link is
-// served from the same buffer with no per-destination marshalling.
+// Wire format: every message is a frame that opens with one type byte,
+// and one hand-written binary codec serves them all. The bulk path —
+// binary fragments and their acks — uses fixed binary headers ('F' and
+// 'A' frames) so a fragment is encoded exactly once and every child link
+// is served from the same buffer with no per-destination marshalling.
+// Per-period control (heartbeats, strobes, plan confirmations, HAVE
+// folds) has fixed-layout frames of its own. The membership- and
+// job-rate remainder (registration, submissions, topology plans,
+// launches, reports) shares the length-prefixed 'G' frame: a kind byte,
+// then that kind's varint body (codec.go). No link carries codec state,
+// so a fresh connection costs nothing to speak on.
 package livenet
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -142,13 +147,14 @@ type Report struct {
 // Message is the wire envelope. Exactly one pointer field is set.
 //
 // Hot control messages (Ping, Pong, Strobe, StrobeAck, FragAck,
-// PlanAck, ReplanAck, PeerDown, Manifest, Have, NeedMask) never travel
-// as gob: send routes them to fixed-layout typed frames and recv
-// decodes the zero-alloc subset into conn-owned scratch structs. The
-// pointers recv returns for Ping, Pong, Strobe, StrobeAck, FragAck,
-// Manifest, Have, and NeedMask are therefore only valid until the next
-// recv on the same conn — consume or copy them before looping (Manifest
-// has clone() for retention).
+// PlanAck, ReplanAck, PeerDown, Manifest, Have, NeedMask) travel in
+// fixed-layout typed frames, and recv decodes the zero-alloc subset into
+// conn-owned scratch structs: the pointers it returns for Ping, Pong,
+// Strobe, StrobeAck, FragAck, Manifest, Have, and NeedMask are only
+// valid until the next recv on the same conn — consume or copy them
+// before looping (Manifest has clone() for retention). The remaining
+// kinds share the 'G' control frame and decode into fresh structs the
+// receiver may keep.
 type Message struct {
 	Register  *Register
 	Hello     *Hello
@@ -201,7 +207,7 @@ type Submit struct {
 // Register it is an explicit readmission request: the MM clears the
 // node's conviction, arms a probation window, and answers with a
 // RejoinAck before the link starts serving traffic. Membership-rate, so
-// it rides the gob path.
+// it rides the shared 'G' control frame.
 type Rejoin struct {
 	Node int
 	CPUs int
@@ -228,7 +234,7 @@ type Hello struct {
 }
 
 // Frag carries one fragment of a job's binary image. On the wire it is a
-// binary 'F' frame, not gob; Data received from recv is pooled and must
+// binary 'F' frame; Data received from recv is pooled and must
 // be returned with releaseFragBuf once consumed. Stripe names the
 // spanning tree the fragment travels down (0 on a single-tree plan):
 // with a striped plan, chunk i belongs to stripe i%k and each stripe's
@@ -328,8 +334,8 @@ type ReplanAck struct {
 // replan round: the MM, having convicted the node, tells its tree
 // parent to stop waiting on the subtree's acks. Only valid when the
 // dead node is a leaf in this stripe (interior deaths need a real
-// Replan to re-home the orphaned subtree). Rare, so it rides the gob
-// path.
+// Replan to re-home the orphaned subtree). Rare, so it rides the
+// shared 'G' control frame.
 type ChildDead struct {
 	Job    int
 	Stripe int
@@ -458,8 +464,9 @@ type CtlChild struct {
 
 // CtlPlan installs a node's role in the cluster-wide control tree (the
 // heartbeat/strobe fast path). It is sent only when membership changes
-// — registration, unregistration, conviction — so it stays on the gob
-// cold path; the per-period traffic it enables is all typed frames.
+// — registration, unregistration, conviction — so it rides the shared
+// 'G' control frame; the per-period traffic it enables has fixed-layout
+// frames of its own.
 type CtlPlan struct {
 	Epoch    int
 	Children []CtlChild
@@ -623,13 +630,13 @@ func seededFragInto(b []byte, seed uint64, index int) {
 	copy(b, tile[:len(b)])
 }
 
-// Frame types. Every frame starts with one type byte. 'G' is the cold
-// path (rare, topology-sized messages: Register, Submit, Plan, Replan,
-// CtlPlan, Launch, ...); everything that runs per-fragment or per-period
-// has its own fixed-layout frame so the hot paths never touch gob's
-// per-stream type descriptors or allocations.
+// Frame types. Every frame starts with one type byte. 'G' carries the
+// job- and membership-rate kinds (Register, Submit, Plan, Replan,
+// CtlPlan, Launch, ...) as a kind byte plus a varint body; everything
+// that runs per-fragment or per-period has its own fixed-layout frame so
+// the hot paths decode at zero allocations.
 const (
-	frameGob       = 'G' // 4-byte length + gob(Message)
+	frameControl   = 'G' // 4-byte length + kind u8 + body (codec.go)
 	frameFrag      = 'F' // fragHdrLen header + payload
 	frameAck       = 'A' // ackHdrLen fixed body
 	framePing      = 'P' // pingBodyLen fixed body
@@ -755,21 +762,6 @@ type conn struct {
 	rHave      Have     // Bits grown once
 	rNeed      NeedMask // Bits grown once
 
-	// Persistent gob codec. Type descriptors compile once per link, not
-	// once per message: a fresh gob.NewEncoder/NewDecoder pair per frame
-	// costs a reflect-driven type compilation each time, which profiles
-	// as the dominant control-plane cost once a launch pushes one plan
-	// per NM across hundreds of NMs. The encoder state lives under wmu
-	// (Encode mutates it); the decoder is owned by the conn's single
-	// reader. The byte stream stays framed — each Encode's output is
-	// drained into one length-prefixed 'G' frame, and the receiver feeds
-	// payloads to its decoder in arrival order, so the pair see one
-	// continuous gob stream.
-	enc    *gob.Encoder
-	encBuf bytes.Buffer
-	dec    *gob.Decoder
-	decBuf bytes.Buffer
-
 	sent       atomic.Int64 // bytes written, frames included
 	sentFrames atomic.Int64 // frames written (the control-egress metric)
 }
@@ -803,12 +795,15 @@ func newConnProf(c net.Conn, prof connProfile) *conn {
 	return &conn{c: c, r: bufio.NewReaderSize(c, prof.bufBytes), w: bufio.NewWriterSize(c, prof.bufBytes)}
 }
 
+// errEmptyMessage refuses a send with no message field set.
+var errEmptyMessage = errors.New("livenet: send of an empty message")
+
 // send serializes one message. Fragments, fragment acks, and the hot
 // control messages (heartbeats, strobes, plan confirmations, peer-down
-// reports) are routed to fixed-layout typed frames; only the cold
-// remainder (registration, submissions, topology plans, launches,
-// reports) is gob inside a 'G' frame, encoded on the conn's persistent
-// gob stream so type descriptors cross each link exactly once.
+// reports) are routed to fixed-layout typed frames; the job- and
+// membership-rate remainder (registration, submissions, topology plans,
+// launches, reports) is one 'G' frame built in pooled scratch borrowed
+// under wmu.
 func (c *conn) send(m Message) error {
 	switch {
 	case m.Frag != nil:
@@ -836,21 +831,22 @@ func (c *conn) send(m Message) error {
 	case m.NeedMask != nil:
 		return c.sendNeedMask(m.NeedMask)
 	}
+	kind := controlKind(&m)
+	if kind == 0 {
+		return errEmptyMessage
+	}
 	c.wmu.Lock()
-	if c.enc == nil {
-		c.enc = gob.NewEncoder(&c.encBuf)
+	defer c.wmu.Unlock()
+	tp := grabTail(0)
+	b := appendControl(append((*tp)[:0], frameControl, 0, 0, 0, 0), kind, &m)
+	*tp = b
+	defer putTail(tp)
+	n := len(b) - ctlFrameHdr
+	if n > maxFrame {
+		return fmt.Errorf("livenet: oversized control frame (%d bytes)", n)
 	}
-	c.encBuf.Reset()
-	if err := c.enc.Encode(&m); err != nil {
-		c.wmu.Unlock()
-		return err
-	}
-	var hdr [5]byte
-	hdr[0] = frameGob
-	binary.BigEndian.PutUint32(hdr[1:], uint32(c.encBuf.Len()))
-	err := c.writeFrame(hdr[:], c.encBuf.Bytes())
-	c.wmu.Unlock()
-	return err
+	binary.BigEndian.PutUint32(b[1:], uint32(n))
+	return c.writeFrame(b, nil)
 }
 
 // sendFrag writes one fragment frame: the header is built on the stack
@@ -1146,7 +1142,7 @@ func (c *conn) recv() (Message, error) {
 	}
 	ft := c.rbuf[0]
 	switch ft {
-	case frameGob:
+	case frameControl:
 		lb := c.rbuf[:4]
 		if _, err := io.ReadFull(c.r, lb); err != nil {
 			return Message{}, err
@@ -1155,17 +1151,12 @@ func (c *conn) recv() (Message, error) {
 		if n > maxFrame {
 			return Message{}, fmt.Errorf("livenet: oversized control frame (%d bytes)", n)
 		}
-		if c.dec == nil {
-			c.dec = gob.NewDecoder(&c.decBuf)
-		}
-		// Feed the payload onto the conn's continuous gob stream;
-		// bytes.Buffer's ReadFrom keeps the copy allocation-free once
-		// the buffer has grown to the largest control message.
-		if _, err := io.CopyN(&c.decBuf, c.r, int64(n)); err != nil {
+		tp, err := c.readTail(n)
+		if err != nil {
 			return Message{}, err
 		}
-		var m Message
-		err := c.dec.Decode(&m)
+		m, err := decodeControl(*tp)
+		putTail(tp)
 		return m, err
 	case frameFrag:
 		hb := c.rbuf[:fragHdrLen]
@@ -1389,8 +1380,8 @@ func (c *conn) recv() (Message, error) {
 
 // readTail reads a variable frame tail into pooled scratch. The caller
 // decodes out of it and returns it with putTail before recv returns —
-// the decoded message lives in the conn's typed scratch structs, never
-// in the tail itself.
+// the decoded message lives in the conn's typed scratch structs (or, for
+// a 'G' frame, in freshly allocated ones), never in the tail itself.
 func (c *conn) readTail(n int) (*[]byte, error) {
 	tp := grabTail(n)
 	if _, err := io.ReadFull(c.r, *tp); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -17,26 +18,28 @@ func pipeConns(t *testing.T) (*conn, *conn) {
 	return ca, cb
 }
 
-// TestFrameRoundTripControl: control messages survive the gob frame.
+// TestFrameRoundTripControl: every 'G'-framed kind, with every field
+// set and in its nil/empty forms, survives a real conn pair. Empty
+// slices and maps arrive as nil.
 func TestFrameRoundTripControl(t *testing.T) {
+	cs := controlCases()
+	requireFullSamples(t, cs)
 	ca, cb := pipeConns(t)
 	go func() {
-		ca.send(Message{Register: &Register{Node: 3, CPUs: 4, Addr: "127.0.0.1:99"}})
-		ca.send(Message{Plan: &Plan{Job: 7, Frags: 5, Fanout: 2, Stripes: 2,
-			Children: [][]ChildRef{
-				{{Node: 1, Addr: "a"}, {Node: 2, Addr: "b"}},
-				{{Node: 3, Addr: "c"}},
-			}}})
+		for _, c := range cs {
+			if err := ca.send(c.sent); err != nil {
+				return
+			}
+		}
 	}()
-	m, err := cb.recv()
-	if err != nil || m.Register == nil || m.Register.Node != 3 || m.Register.Addr != "127.0.0.1:99" {
-		t.Fatalf("register round trip: %+v, %v", m, err)
+	for _, c := range cs {
+		m, err := cb.recv()
+		if err != nil || !reflect.DeepEqual(m, c.want) {
+			t.Fatalf("%s round trip: %+v, %v; want %+v", c.name, m, err, c.want)
+		}
 	}
-	m, err = cb.recv()
-	if err != nil || m.Plan == nil || m.Plan.Job != 7 || m.Plan.Stripes != 2 ||
-		len(m.Plan.Children) != 2 || len(m.Plan.Children[0]) != 2 || m.Plan.Children[0][1].Addr != "b" ||
-		m.Plan.Children[1][0].Node != 3 {
-		t.Fatalf("plan round trip: %+v, %v", m, err)
+	if err := ca.send(Message{}); err == nil {
+		t.Fatal("empty message sent")
 	}
 }
 
