@@ -214,7 +214,8 @@ func BenchmarkPlacement(b *testing.B) {
 			}, nmCfg)
 			mu.Lock()
 			for _, nm := range nms {
-				addrNode[nm.PeerAddr()] = nm.Node()
+				endpoint, _, _ := splitPeerAddr(nm.PeerAddr()) // what the Dialer sees
+				addrNode[endpoint] = nm.Node()
 			}
 			mu.Unlock()
 			mm.mu.Lock()

@@ -10,12 +10,8 @@ import (
 	"repro/internal/place"
 )
 
-// Control-frame kinds: the first payload byte of a 'G' frame. The body
-// that follows is the kind's field walk below — varints for integers and
-// durations, uvarint-length-prefixed strings and slices, one byte per
-// bool. Nothing on the wire is self-describing, so a link costs no
-// per-connection codec state and a fresh conn encodes its first message
-// as cheaply as its thousandth.
+// Control-frame kinds: the first body byte of a 'G' frame. The body
+// that follows is the kind's field walk below.
 const (
 	kindRegister byte = iota + 1
 	kindSubmit
@@ -32,10 +28,6 @@ const (
 	kindRejoin
 	kindRejoinAck
 )
-
-// ctlFrameHdr is the 'G' envelope ahead of the kind byte: type byte and
-// u32 payload length (the kind byte counts toward the length).
-const ctlFrameHdr = 5
 
 // controlKind names the kind of m's control field, or 0 when m carries
 // none of the 'G'-framed kinds.
@@ -73,27 +65,95 @@ func controlKind(m *Message) byte {
 	return 0
 }
 
-// appendControl appends kind and m's control body to b.
-func appendControl(b []byte, kind byte, m *Message) []byte {
-	w := wire{b: append(b, kind)}
-	w.body(kind, m)
-	return w.b
+// frameOf names the frame type that carries m and, for a 'G' frame, the
+// kind byte; t is 0 when m carries nothing.
+func frameOf(m *Message) (t, kind byte) {
+	switch {
+	case m.Frag != nil:
+		return frameFrag, 0
+	case m.FragAck != nil:
+		return frameAck, 0
+	case m.Ping != nil:
+		return framePing, 0
+	case m.Pong != nil:
+		return framePong, 0
+	case m.Strobe != nil:
+		return frameStrobe, 0
+	case m.StrobeAck != nil:
+		return frameStrobeAck, 0
+	case m.PlanAck != nil:
+		return framePlanAck, 0
+	case m.ReplanAck != nil:
+		return frameReplanAck, 0
+	case m.PeerDown != nil:
+		return framePeerDown, 0
+	case m.Manifest != nil:
+		return frameManifest, 0
+	case m.Have != nil:
+		return frameHave, 0
+	case m.NeedMask != nil:
+		return frameNeed, 0
+	case m.Hello != nil:
+		return frameHello, 0
+	}
+	if k := controlKind(m); k != 0 {
+		return frameControl, k
+	}
+	return 0, 0
 }
 
-// decodeControl decodes one 'G' payload (kind byte, then body). It is
-// strict: an unknown kind, a short body, trailing bytes, a bool byte
-// other than 0/1, or unsorted patch keys is an error, never a panic. No
+// appendFrame appends m as one frame — type u8 | len u32 | body — to b.
+// A fragment's payload follows its fixed header; the send path writes
+// it from the caller's buffer instead (sendFrag).
+func appendFrame(b []byte, m *Message) ([]byte, error) {
+	t, kind := frameOf(m)
+	if t == 0 {
+		return b, errEmptyMessage
+	}
+	start := len(b)
+	w := wire{b: append(b, t, 0, 0, 0, 0)}
+	if t == frameControl {
+		w.b = append(w.b, kind)
+	}
+	w.body(t, kind, m)
+	if t == frameFrag {
+		w.b = append(w.b, m.Frag.Data...)
+	}
+	n := len(w.b) - start - frameHdr
+	if n > maxFrame {
+		return b, fmt.Errorf("livenet: oversized frame (%d bytes)", n)
+	}
+	binary.BigEndian.PutUint32(w.b[start+1:], uint32(n))
+	return w.b, nil
+}
+
+// decodeFrame decodes the body of one frame of type t. It is strict: an
+// unknown type or kind, a short body, trailing bytes, a bool byte other
+// than 0/1, or unsorted patch keys is an error, never a panic. No
 // element count is trusted beyond the bytes left to back it, so the
 // decoder allocates at most a small constant multiple of len(p) however
-// the payload is corrupted. Empty slices and maps decode as nil.
-func decodeControl(p []byte) (Message, error) {
+// the body is corrupted. Empty slices and maps of the 'G' kinds decode
+// as nil. With a non-nil s, the hot kinds decode into its reusable
+// structs instead of fresh ones. A fragment's Data aliases p.
+func decodeFrame(t byte, p []byte, s *recvScratch) (Message, error) {
 	var m Message
-	if len(p) == 0 {
-		return m, errors.New("livenet: empty control frame")
+	s.point(t, &m)
+	w := wire{b: p, dec: true}
+	var kind byte
+	if t == frameControl {
+		if len(p) == 0 {
+			return Message{}, errors.New("livenet: empty control frame")
+		}
+		kind, w.b = p[0], p[1:]
 	}
-	w := wire{b: p[1:], dec: true}
-	if !w.body(p[0], &m) {
-		return Message{}, fmt.Errorf("livenet: unknown control kind %d", p[0])
+	if !w.body(t, kind, &m) {
+		if t == frameControl {
+			return Message{}, fmt.Errorf("livenet: unknown control kind %d", kind)
+		}
+		return Message{}, fmt.Errorf("livenet: unknown frame type %#x", t)
+	}
+	if t == frameFrag && w.err == nil {
+		m.Frag.Data, w.b = w.b, nil
 	}
 	if err := w.finish(); err != nil {
 		return Message{}, err
@@ -101,12 +161,60 @@ func decodeControl(p []byte) (Message, error) {
 	return m, nil
 }
 
-// wire is the control-body codec. Each message type has one walk method
-// that lists its fields in wire order; the same walk encodes (appending
-// to b) or decodes (consuming b), so the two directions cannot drift
-// apart. Encoding never writes through the walked pointers — the MM
-// encodes one shared JobSpec into many links concurrently. Decode errors
-// are sticky: after the first, every step is a no-op.
+// recvScratch holds a conn's reusable decode targets: recv returns
+// pointers into it for the hot kinds, valid until the next recv. A conn
+// has one reader (the read loop that owns it), so there is no aliasing.
+type recvScratch struct {
+	hello     Hello
+	ping      Ping
+	pong      Pong // Absent grown once, reused across frames
+	strobe    Strobe
+	strobeAck StrobeAck
+	ack       FragAck
+	manifest  Manifest // Hashes/CRCs grown once
+	have      Have     // Bits grown once
+	need      NeedMask // Bits grown once
+}
+
+// point aims m's field for frame type t at the scratch struct of that
+// kind, so the walk decodes into it rather than a fresh one. A nil s,
+// or a kind without scratch, leaves m untouched.
+func (s *recvScratch) point(t byte, m *Message) {
+	if s == nil {
+		return
+	}
+	switch t {
+	case frameHello:
+		m.Hello = &s.hello
+	case framePing:
+		m.Ping = &s.ping
+	case framePong:
+		m.Pong = &s.pong
+	case frameStrobe:
+		m.Strobe = &s.strobe
+	case frameStrobeAck:
+		m.StrobeAck = &s.strobeAck
+	case frameAck:
+		m.FragAck = &s.ack
+	case frameManifest:
+		m.Manifest = &s.manifest
+	case frameHave:
+		m.Have = &s.have
+	case frameNeed:
+		m.NeedMask = &s.need
+	}
+}
+
+// wire is the body codec. Each message type has one walk method that
+// lists its fields in wire order; the same walk encodes (appending to b)
+// or decodes (consuming b), so the two directions cannot drift apart.
+// Integers and durations are varints, strings and slices carry a uvarint
+// count, a bool is one byte, and uniformly random fields (hashes, CRCs,
+// bitmap words) are fixed-width big-endian. Nothing is self-describing,
+// so a link carries no codec state. Encoding never writes through the
+// walked pointers — the MM encodes one shared JobSpec into many links
+// concurrently. Decode errors are sticky: after the first, every step is
+// a no-op.
 type wire struct {
 	b   []byte
 	dec bool
@@ -115,7 +223,7 @@ type wire struct {
 
 func (w *wire) fail(what string) {
 	if w.err == nil {
-		w.err = fmt.Errorf("livenet: malformed control frame: %s", what)
+		w.err = fmt.Errorf("livenet: malformed frame: %s", what)
 	}
 	w.b = nil
 }
@@ -123,7 +231,7 @@ func (w *wire) fail(what string) {
 // finish reports the decode error, or trailing bytes the walk left.
 func (w *wire) finish() error {
 	if w.err == nil && len(w.b) > 0 {
-		w.err = fmt.Errorf("livenet: malformed control frame: %d trailing bytes", len(w.b))
+		w.err = fmt.Errorf("livenet: malformed frame: %d trailing bytes", len(w.b))
 	}
 	return w.err
 }
@@ -206,6 +314,92 @@ func (w *wire) flag(p *bool) {
 	w.b = w.b[1:]
 }
 
+// take consumes n raw bytes on decode; nil (and a sticky error) when
+// the body is short.
+func (w *wire) take(n int) []byte {
+	if w.err != nil {
+		return nil
+	}
+	if len(w.b) < n {
+		w.fail("short body")
+		return nil
+	}
+	p := w.b[:n]
+	w.b = w.b[n:]
+	return p
+}
+
+// u8 carries a small int in one byte (the fragment header's stripe).
+func (w *wire) u8(p *int) {
+	if !w.dec {
+		w.b = append(w.b, byte(*p))
+		return
+	}
+	if b := w.take(1); b != nil {
+		*p = int(b[0])
+	}
+}
+
+func (w *wire) u32(p *uint32) {
+	if !w.dec {
+		w.b = binary.BigEndian.AppendUint32(w.b, *p)
+		return
+	}
+	if b := w.take(4); b != nil {
+		*p = binary.BigEndian.Uint32(b)
+	}
+}
+
+// u32n carries an int as a fixed u32 (the fragment header's fields).
+func (w *wire) u32n(p *int) {
+	v := uint32(*p)
+	w.u32(&v)
+	if w.dec {
+		*p = int(v)
+	}
+}
+
+// resize returns s with length n, reusing its capacity when it
+// suffices: the conn scratch decodes every frame's slices in place.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// words walks a bitmap as a count of fixed 8-byte words. Decoding reuses
+// the slice's capacity; an empty bitmap decodes as a zero-length slice
+// of the old backing array (nil on a fresh struct).
+func (w *wire) words(p *[]uint64) {
+	n := w.count(len(*p), 8)
+	if !w.dec {
+		for _, x := range *p {
+			w.b = binary.BigEndian.AppendUint64(w.b, x)
+		}
+		return
+	}
+	raw := w.take(n * 8) // count bounded n by the bytes left
+	*p = resize(*p, len(raw)/8)
+	for i := range *p {
+		(*p)[i] = binary.BigEndian.Uint64(raw[i*8:])
+	}
+}
+
+// errStr carries a diagnostic error string, clipped to maxCtlErr on
+// encode; a longer one is malformed on decode.
+func (w *wire) errStr(p *string) {
+	if !w.dec {
+		e := ctlErr(*p)
+		w.str(&e)
+		return
+	}
+	w.str(p)
+	if len(*p) > maxCtlErr {
+		w.fail("oversized error string")
+	}
+}
+
 // count carries an element count. Decoding bounds it by the bytes left:
 // every element occupies at least minWire of them, so a corrupt count
 // fails here instead of sizing an allocation.
@@ -235,88 +429,209 @@ func (w *wire) str(p *string) {
 	w.b = w.b[n:]
 }
 
-// wireSlice walks a slice whose elements each occupy at least minWire
-// bytes. An empty slice decodes as nil.
-func wireSlice[T any](w *wire, p *[]T, minWire int, elem func(*wire, *T)) {
+// elems returns the slice a walk of *p fills element by element, for
+// elements that each occupy at least minWire bytes: *p itself on
+// encode; on decode a fresh slice of the counted length, nil when
+// empty.
+func elems[T any](w *wire, p *[]T, minWire int) []T {
 	n := w.count(len(*p), minWire)
-	if !w.dec {
-		for i := range *p {
-			elem(w, &(*p)[i])
-		}
-		return
-	}
-	if n == 0 || w.err != nil {
+	if w.dec {
 		*p = nil
-		return
+		if n > 0 && w.err == nil {
+			*p = make([]T, n)
+		}
 	}
-	s := make([]T, n)
-	for i := range s {
-		elem(w, &s[i])
-	}
-	*p = s
+	return *p
 }
 
-// walk allocates the message struct on decode and walks it.
-func walk[T any](w *wire, p **T, f func(*wire, *T)) {
-	if w.dec {
+// into returns the struct the walk of *p fills: *p itself, after
+// pointing it at a fresh struct when decoding into a Message that has
+// none (decodeFrame may have aimed it at conn scratch). The walks are
+// static calls on its result, so the wire never escapes and the hot
+// kinds decode without allocating.
+func into[T any](w *wire, p **T) *T {
+	if w.dec && *p == nil {
 		*p = new(T)
 	}
-	f(w, *p)
+	return *p
 }
 
-// body walks the control field of the given kind; false for an unknown
-// kind.
-func (w *wire) body(kind byte, m *Message) bool {
-	switch kind {
-	case kindRegister:
-		walk(w, &m.Register, (*wire).register)
-	case kindSubmit:
-		walk(w, &m.Submit, func(w *wire, s *Submit) { w.jobSpec(&s.Spec) })
-	case kindPlan:
-		walk(w, &m.Plan, (*wire).plan)
-	case kindReplan:
-		walk(w, &m.Replan, (*wire).replan)
-	case kindChildDead:
-		walk(w, &m.ChildDead, func(w *wire, d *ChildDead) {
-			w.num(&d.Job)
-			w.num(&d.Stripe)
-			w.num(&d.Node)
-		})
-	case kindAbort:
-		walk(w, &m.Abort, func(w *wire, a *Abort) {
-			w.num(&a.Job)
-			w.str(&a.Reason)
-		})
-	case kindLaunch:
-		walk(w, &m.Launch, (*wire).launch)
-	case kindTerm:
-		walk(w, &m.Term, func(w *wire, t *Term) {
-			w.num(&t.Job)
-			w.num(&t.Node)
-		})
-	case kindDone:
-		walk(w, &m.Done, func(w *wire, d *Done) {
-			w.report(&d.Report)
-			w.str(&d.Err)
-		})
-	case kindCtlPlan:
-		walk(w, &m.CtlPlan, (*wire).ctlPlan)
-	case kindStatusQ:
-		walk(w, &m.StatusQ, func(*wire, *StatusReq) {})
-	case kindStatusR:
-		walk(w, &m.StatusR, (*wire).statusRep)
-	case kindRejoin:
-		// Rejoin carries exactly Register's fields.
-		walk(w, &m.Rejoin, func(w *wire, r *Rejoin) { w.register((*Register)(r)) })
-	case kindRejoinAck:
-		walk(w, &m.RejoinAck, func(w *wire, a *RejoinAck) {
-			w.num(&a.Probation)
-			w.str(&a.Err)
-		})
+// body walks the field of m that frame type t (and, for 'G', kind)
+// carries; false for an unknown type or kind.
+func (w *wire) body(t, kind byte, m *Message) bool {
+	switch t {
+	case frameControl:
+		return w.control(kind, m)
+	case frameFrag:
+		w.fragHdr(into(w, &m.Frag))
+	case frameAck:
+		w.fragAck(into(w, &m.FragAck))
+	case framePing:
+		p := into(w, &m.Ping)
+		w.num64(&p.Seq)
+		w.num(&p.Epoch)
+	case framePong:
+		w.pong(into(w, &m.Pong))
+	case frameStrobe:
+		s := into(w, &m.Strobe)
+		w.num64(&s.Seq)
+		w.num(&s.Row)
+		w.num(&s.Epoch)
+	case frameStrobeAck:
+		a := into(w, &m.StrobeAck)
+		w.num64(&a.Seq)
+		w.num(&a.Node)
+		w.num(&a.Epoch)
+	case framePlanAck:
+		a := into(w, &m.PlanAck)
+		w.num(&a.Job)
+		w.num(&a.Node)
+		w.errStr(&a.Err)
+	case frameReplanAck:
+		w.replanAck(into(w, &m.ReplanAck))
+	case framePeerDown:
+		d := into(w, &m.PeerDown)
+		w.num(&d.Job)
+		w.num(&d.Node)
+		w.num(&d.From)
+		w.errStr(&d.Err)
+	case frameManifest:
+		w.manifest(into(w, &m.Manifest))
+	case frameHave:
+		h := into(w, &m.Have)
+		w.num(&h.Job)
+		w.num(&h.Node)
+		w.num(&h.Epoch)
+		w.num(&h.Stripe)
+		w.words(&h.Bits)
+	case frameNeed:
+		n := into(w, &m.NeedMask)
+		w.num(&n.Job)
+		w.num(&n.Epoch)
+		w.num(&n.Stripe)
+		w.words(&n.Bits)
+	case frameHello:
+		h := into(w, &m.Hello)
+		w.num(&h.Node)
 	default:
 		return false
 	}
 	return true
+}
+
+// control walks the 'G' field of the given kind; false for an unknown
+// kind.
+func (w *wire) control(kind byte, m *Message) bool {
+	switch kind {
+	case kindRegister:
+		w.register(into(w, &m.Register))
+	case kindSubmit:
+		s := into(w, &m.Submit)
+		w.jobSpec(&s.Spec)
+	case kindPlan:
+		w.plan(into(w, &m.Plan))
+	case kindReplan:
+		w.replan(into(w, &m.Replan))
+	case kindChildDead:
+		d := into(w, &m.ChildDead)
+		w.num(&d.Job)
+		w.num(&d.Stripe)
+		w.num(&d.Node)
+	case kindAbort:
+		a := into(w, &m.Abort)
+		w.num(&a.Job)
+		w.str(&a.Reason)
+	case kindLaunch:
+		w.launch(into(w, &m.Launch))
+	case kindTerm:
+		t := into(w, &m.Term)
+		w.num(&t.Job)
+		w.num(&t.Node)
+	case kindDone:
+		d := into(w, &m.Done)
+		w.report(&d.Report)
+		w.str(&d.Err)
+	case kindCtlPlan:
+		w.ctlPlan(into(w, &m.CtlPlan))
+	case kindStatusQ:
+		into(w, &m.StatusQ)
+	case kindStatusR:
+		w.statusRep(into(w, &m.StatusR))
+	case kindRejoin:
+		// Rejoin carries exactly Register's fields.
+		r := into(w, &m.Rejoin)
+		w.register((*Register)(r))
+	case kindRejoinAck:
+		a := into(w, &m.RejoinAck)
+		w.num(&a.Probation)
+		w.str(&a.Err)
+	default:
+		return false
+	}
+	return true
+}
+
+// fragHdr walks the fixed fragHdrLen-byte header that opens an 'F' body:
+// job u32 | index u32 | last u8 | crc u32 | stripe u8. The payload
+// follows it, so its length is the frame length minus the header.
+func (w *wire) fragHdr(f *Frag) {
+	w.u32n(&f.Job)
+	w.u32n(&f.Index)
+	w.flag(&f.Last)
+	w.u32(&f.CRC)
+	w.u8(&f.Stripe)
+}
+
+func (w *wire) fragAck(a *FragAck) {
+	w.num(&a.Job)
+	w.num(&a.Index)
+	w.num(&a.Node)
+	w.num(&a.Epoch)
+	w.flag(&a.OK)
+	w.num(&a.Stripe)
+}
+
+func (w *wire) pong(p *Pong) {
+	w.num64(&p.Seq)
+	w.num(&p.Node)
+	w.num(&p.Epoch)
+	w.num64(&p.MinSeq)
+	w.words(&p.Absent)
+}
+
+func (w *wire) replanAck(a *ReplanAck) {
+	w.num(&a.Job)
+	w.num(&a.Node)
+	w.num(&a.Epoch)
+	w.num(&a.Received)
+	w.num(&a.Stripe)
+	w.errStr(&a.Err)
+}
+
+// manifest walks the chunk map as one count of (hash u64, crc u32)
+// records, so Hashes and CRCs always decode to equal lengths.
+func (w *wire) manifest(m *Manifest) {
+	w.num(&m.Job)
+	w.num(&m.Epoch)
+	w.num(&m.ChunkBytes)
+	w.u32(&m.ImageCRC)
+	w.num64(&m.TotalBytes)
+	w.num(&m.Stripe)
+	n := w.count(len(m.Hashes), 12)
+	if !w.dec {
+		for i, h := range m.Hashes {
+			w.b = binary.BigEndian.AppendUint64(w.b, h)
+			w.b = binary.BigEndian.AppendUint32(w.b, m.CRCs[i])
+		}
+		return
+	}
+	raw := w.take(n * 12) // count bounded n by the bytes left
+	n = len(raw) / 12
+	m.Hashes, m.CRCs = resize(m.Hashes, n), resize(m.CRCs, n)
+	for i := range m.Hashes {
+		m.Hashes[i] = binary.BigEndian.Uint64(raw[i*12:])
+		m.CRCs[i] = binary.BigEndian.Uint32(raw[i*12+8:])
+	}
 }
 
 func (w *wire) vec(v *place.Vec) {
@@ -332,7 +647,12 @@ func (w *wire) register(r *Register) {
 	w.vec(&r.Cap)
 }
 
-func (w *wire) ints(p *[]int) { wireSlice(w, p, 1, (*wire).num) }
+func (w *wire) ints(p *[]int) {
+	s := elems(w, p, 1)
+	for i := range s {
+		w.num(&s[i])
+	}
+}
 
 func (w *wire) jobSpec(s *JobSpec) {
 	w.str(&s.Name)
@@ -397,14 +717,22 @@ func (w *wire) childRef(c *ChildRef) {
 	w.str(&c.Addr)
 }
 
-func (w *wire) childRefs(p *[]ChildRef) { wireSlice(w, p, 2, (*wire).childRef) }
+func (w *wire) childRefs(p *[]ChildRef) {
+	s := elems(w, p, 2)
+	for i := range s {
+		w.childRef(&s[i])
+	}
+}
 
 func (w *wire) plan(p *Plan) {
 	w.num(&p.Job)
 	w.num(&p.Frags)
 	w.num(&p.Fanout)
 	w.num(&p.Stripes)
-	wireSlice(w, &p.Children, 1, (*wire).childRefs)
+	s := elems(w, &p.Children, 1)
+	for i := range s {
+		w.childRefs(&s[i])
+	}
 }
 
 func (w *wire) replan(p *Replan) {
@@ -448,11 +776,12 @@ func (w *wire) report(r *Report) {
 
 func (w *wire) ctlPlan(p *CtlPlan) {
 	w.num(&p.Epoch)
-	wireSlice(w, &p.Children, 3, func(w *wire, c *CtlChild) {
-		w.num(&c.Node)
-		w.str(&c.Addr)
-		w.ints(&c.Subtree)
-	})
+	s := elems(w, &p.Children, 3)
+	for i := range s {
+		w.num(&s[i].Node)
+		w.str(&s[i].Addr)
+		w.ints(&s[i].Subtree)
+	}
 }
 
 func (w *wire) statusRep(r *StatusRep) {

@@ -19,8 +19,8 @@ package livenet
 //     apply point and every child subtree's cumulative credit.
 //
 // Roles are installed by CtlPlan (a 'G' control frame, sent on
-// membership changes only). All per-period traffic is typed frames with
-// zero steady-state allocations (TestControlAllocs).
+// membership changes only). All per-period traffic has frame types of
+// its own and zero steady-state allocations (TestControlAllocs).
 
 // ctlChild is one control-tree child: where to relay, the subtree its
 // ledgers vouch for, and the latest state it reported.
@@ -30,10 +30,10 @@ type ctlChild struct {
 	subtree []int // pre-order; subtree[0] == node
 	off     int   // bit offset of this child's subtree in the parent's ledger
 
-	lastSeq    int64  // Seq of the child's latest pong ledger
-	lastMin    int64  // its MinSeq
-	lastAbsent uint64 // its Absent bitmap (child-local bit positions)
-	strobeAck  int64  // cumulative strobe credit from this subtree
+	lastSeq    int64    // Seq of the child's latest pong ledger
+	lastMin    int64    // its MinSeq
+	lastAbsent []uint64 // its Absent bitmap (child-local bit positions)
+	strobeAck  int64    // cumulative strobe credit from this subtree
 }
 
 // nmCtl is an NM's installed role in the control tree, replaced
@@ -49,13 +49,31 @@ type nmCtl struct {
 	strobeUp   int64 // cumulative strobe credit already propagated up
 }
 
-// subtreeMask returns a bitmap with the first n positions set (all 64
-// when the subtree outgrows the ledger width).
-func subtreeMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
+// orBitsAt ORs the first n bits of src into dst starting at bit off.
+// Bits of src past n are ignored, so a malformed child ledger cannot
+// mark a sibling's block or run past dst, which covers off+n bits.
+func orBitsAt(dst, src []uint64, off, n int) {
+	for i, w := range src {
+		lo := i * 64
+		if lo >= n {
+			break
+		}
+		if n-lo < 64 {
+			w &= 1<<uint(n-lo) - 1
+		}
+		at := off + lo
+		dst[at>>6] |= w << uint(at&63)
+		if hi := w >> uint(64-at&63); hi != 0 { // a shift by 64 yields 0
+			dst[at>>6+1] |= hi
+		}
 	}
-	return (uint64(1) << uint(n)) - 1
+}
+
+// setBits sets bits off..off+n-1 of dst.
+func setBits(dst []uint64, off, n int) {
+	for i := off; i < off+n; i++ {
+		bitSet(dst, i)
+	}
 }
 
 // onCtlPlan installs this node's control-tree role and pre-dials the
@@ -126,16 +144,29 @@ func (nm *NM) onCtlPing(p *Ping, from *conn) {
 // nm.mu.
 func (nm *NM) ledgerLocked(ctl *nmCtl, s int64) *Pong {
 	min := s
-	var absent uint64
+	size := 1
 	for _, ch := range ctl.children {
-		if ch.lastSeq >= s {
-			absent |= ch.lastAbsent << uint(ch.off)
+		size += len(ch.subtree)
+	}
+	var absent []uint64 // allocated only once some member is absent
+	for _, ch := range ctl.children {
+		fresh := ch.lastSeq >= s
+		if absent == nil && (!fresh || len(ch.lastAbsent) > 0) {
+			absent = make([]uint64, bitWords(size))
+		}
+		if fresh {
+			orBitsAt(absent, ch.lastAbsent, ch.off, len(ch.subtree))
 		} else {
-			absent |= subtreeMask(len(ch.subtree)) << uint(ch.off)
+			setBits(absent, ch.off, len(ch.subtree))
 		}
 		if ch.lastMin < min {
 			min = ch.lastMin
 		}
+	}
+	// Trailing zero words carry nothing: a healthy subtree's ledger goes
+	// up with no bitmap at all.
+	for len(absent) > 0 && absent[len(absent)-1] == 0 {
+		absent = absent[:len(absent)-1]
 	}
 	return &Pong{Seq: s, Node: nm.node, Epoch: ctl.epoch, MinSeq: min, Absent: absent}
 }
@@ -151,7 +182,9 @@ func (nm *NM) onCtlPong(p *Pong) {
 	}
 	for _, ch := range ctl.children {
 		if ch.node == p.Node && p.Seq > ch.lastSeq {
-			ch.lastSeq, ch.lastMin, ch.lastAbsent = p.Seq, p.MinSeq, p.Absent
+			// p lives in conn scratch: copy the bitmap out.
+			ch.lastSeq, ch.lastMin = p.Seq, p.MinSeq
+			ch.lastAbsent = append(ch.lastAbsent[:0], p.Absent...)
 			break
 		}
 	}

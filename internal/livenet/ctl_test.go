@@ -3,6 +3,7 @@ package livenet
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
@@ -13,14 +14,14 @@ import (
 // link; a single allocation here is a per-period, per-node GC tax.
 func TestControlAllocs(t *testing.T) {
 	ping := &Ping{Seq: 42, Epoch: 7}
-	pong := &Pong{Seq: 42, Node: 3, Epoch: 7, MinSeq: 40, Absent: 0b1010}
+	pong := &Pong{Seq: 42, Node: 3, Epoch: 7, MinSeq: 40, Absent: []uint64{0b1010}}
 	strobe := &Strobe{Seq: 9, Row: 2, Epoch: 7}
 	sack := &StrobeAck{Seq: 9, Node: 3, Epoch: 7}
 
 	ec := discardConn()
 	if avg := testing.AllocsPerRun(200, func() {
-		if ec.sendPing(ping) != nil || ec.sendPong(pong) != nil ||
-			ec.sendStrobe(strobe) != nil || ec.sendStrobeAck(sack) != nil {
+		if ec.send(Message{Ping: ping}) != nil || ec.send(Message{Pong: pong}) != nil ||
+			ec.send(Message{Strobe: strobe}) != nil || ec.send(Message{StrobeAck: sack}) != nil {
 			t.Fatal("send failed")
 		}
 	}); avg != 0 {
@@ -31,8 +32,8 @@ func TestControlAllocs(t *testing.T) {
 	// repeatedly through a reset reader.
 	var buf bytes.Buffer
 	cc := &conn{w: bufio.NewWriter(&buf)}
-	if cc.sendPing(ping) != nil || cc.sendPong(pong) != nil ||
-		cc.sendStrobe(strobe) != nil || cc.sendStrobeAck(sack) != nil {
+	if cc.send(Message{Ping: ping}) != nil || cc.send(Message{Pong: pong}) != nil ||
+		cc.send(Message{Strobe: strobe}) != nil || cc.send(Message{StrobeAck: sack}) != nil {
 		t.Fatal("capture failed")
 	}
 	wire := append([]byte(nil), buf.Bytes()...)
@@ -52,7 +53,7 @@ func TestControlAllocs(t *testing.T) {
 					t.Fatal("ping mangled")
 				}
 			case 1:
-				if m.Pong == nil || m.Pong.Node != 3 || m.Pong.MinSeq != 40 || m.Pong.Absent != 0b1010 {
+				if m.Pong == nil || m.Pong.Node != 3 || m.Pong.MinSeq != 40 || len(m.Pong.Absent) != 1 || m.Pong.Absent[0] != 0b1010 {
 					t.Fatal("pong mangled")
 				}
 			case 2:
@@ -123,8 +124,8 @@ func TestLedgerAggregation(t *testing.T) {
 
 	// Both children fresh for seq 10; child 3 reports its second node
 	// (bit 1, node 7) absent.
-	ctl.children[0].lastSeq, ctl.children[0].lastMin, ctl.children[0].lastAbsent = 10, 9, 0b10
-	ctl.children[1].lastSeq, ctl.children[1].lastMin, ctl.children[1].lastAbsent = 10, 10, 0
+	ctl.children[0].lastSeq, ctl.children[0].lastMin, ctl.children[0].lastAbsent = 10, 9, []uint64{0b10}
+	ctl.children[1].lastSeq, ctl.children[1].lastMin, ctl.children[1].lastAbsent = 10, 10, nil
 	p := nm.ledgerLocked(ctl, 10)
 	if p.Seq != 10 || p.Node != 1 || p.Epoch != 3 {
 		t.Fatalf("ledger header wrong: %+v", p)
@@ -133,25 +134,79 @@ func TestLedgerAggregation(t *testing.T) {
 		t.Fatalf("MinSeq = %d, want 9 (lagging child)", p.MinSeq)
 	}
 	// Child 3's local bit 1 lands at parent bit 1+1=2; nothing else set.
-	if p.Absent != 0b100 {
-		t.Fatalf("Absent = %#b, want %#b", p.Absent, uint64(0b100))
+	if len(p.Absent) != 1 || p.Absent[0] != 0b100 {
+		t.Fatalf("Absent = %#b, want [%#b]", p.Absent, uint64(0b100))
 	}
 
 	// Child 4 goes silent: its whole 3-node block (bits 3..5) is absent.
 	ctl.children[1].lastSeq = 10 // stale relative to seq 11
-	ctl.children[0].lastSeq, ctl.children[0].lastAbsent = 11, 0
+	ctl.children[0].lastSeq, ctl.children[0].lastAbsent = 11, nil
 	p = nm.ledgerLocked(ctl, 11)
-	if p.Absent != 0b111000 {
-		t.Fatalf("silent subtree: Absent = %#b, want %#b", p.Absent, uint64(0b111000))
+	if len(p.Absent) != 1 || p.Absent[0] != 0b111000 {
+		t.Fatalf("silent subtree: Absent = %#b, want [%#b]", p.Absent, uint64(0b111000))
 	}
 
-	// Degenerate width: a 70-node subtree saturates the mask without
-	// shifting out of range.
-	if subtreeMask(70) != ^uint64(0) {
-		t.Fatal("oversized subtree mask must saturate")
+	// Everyone fresh and present: the ledger carries no bitmap words.
+	ctl.children[1].lastSeq = 12
+	ctl.children[0].lastSeq = 12
+	if p = nm.ledgerLocked(ctl, 12); len(p.Absent) != 0 {
+		t.Fatalf("healthy subtree: Absent = %#b, want no words", p.Absent)
 	}
-	if subtreeMask(0) != 0 {
-		t.Fatal("empty mask must be zero")
+}
+
+// TestLedgerFoldBeyond64 folds child ledgers whose subtrees total more
+// than 64 nodes: absences at parent positions 64 and above must survive
+// the fold, across word boundaries, and a silent child must mark its
+// whole block however wide.
+func TestLedgerFoldBeyond64(t *testing.T) {
+	sub := func(first, n int) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = first + i
+		}
+		return s
+	}
+	nm := &NM{node: 0}
+	ctl := &nmCtl{epoch: 1, children: []*ctlChild{
+		{node: 1, subtree: sub(1, 40), off: 1},
+		{node: 41, subtree: sub(41, 50), off: 41},
+	}}
+	a, b := ctl.children[0], ctl.children[1]
+	a.lastSeq, a.lastMin, a.lastAbsent = 7, 7, []uint64{1 << 39} // its last node: parent bit 40
+	// Parent bits 41, 71 and 90; a stray bit past the subtree must not leak.
+	b.lastSeq, b.lastMin, b.lastAbsent = 7, 7, []uint64{1 | 1<<30 | 1<<49 | 1<<55}
+	p := nm.ledgerLocked(ctl, 7)
+	var got []int
+	for i := 0; i < 64*len(p.Absent); i++ {
+		if bitGet(p.Absent, i) {
+			got = append(got, i)
+		}
+	}
+	if want := []int{40, 41, 71, 90}; !slices.Equal(got, want) {
+		t.Fatalf("absent positions %v, want %v", got, want)
+	}
+
+	// Child 41 goes silent: parent bits 41..90 are all absent.
+	a.lastSeq, a.lastAbsent = 8, nil
+	p = nm.ledgerLocked(ctl, 8)
+	for i := 0; i < 128; i++ {
+		if want := i >= 41 && i <= 90; (i>>6 < len(p.Absent) && bitGet(p.Absent, i)) != want {
+			t.Fatalf("silent block: bit %d absent=%v, want %v (%#x)", i, !want, want, p.Absent)
+		}
+	}
+}
+
+// TestLedgerVouchesBeyond64: the MM's evaluator must not vouch for a
+// node a fresh ledger reports absent, whatever its pre-order position.
+func TestLedgerVouchesBeyond64(t *testing.T) {
+	led := &mmLedger{seq: 5, absent: []uint64{0, 1 << 6}} // bit 70
+	if led.vouches(70) {
+		t.Fatal("ledger with bit 70 set vouched for position 70")
+	}
+	for _, j := range []int{0, 63, 64, 69, 71, 200} {
+		if !led.vouches(j) {
+			t.Fatalf("ledger vouched against position %d, which it reports present", j)
+		}
 	}
 }
 

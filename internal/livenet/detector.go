@@ -49,7 +49,14 @@ type mmCtl struct {
 type mmLedger struct {
 	seq    int64
 	min    int64
-	absent uint64
+	absent []uint64 // copied out of conn scratch
+}
+
+// vouches reports whether the ledger vouches for the node at pre-order
+// position j of its sender's subtree. Positions past the bitmap's words
+// are present: a ledger drops its trailing zero words.
+func (l *mmLedger) vouches(j int) bool {
+	return j>>6 >= len(l.absent) || !bitGet(l.absent, j)
 }
 
 // syncCtl rebuilds the control tree when membership changed
@@ -203,7 +210,7 @@ func (mm *MM) heartbeatLoop(period, grace time.Duration, onFail func(node int), 
 				fresh := led != nil && led.seq >= s-1
 				for j, node := range sub {
 					member[node] = true
-					if fresh && (j >= 64 || led.absent&(uint64(1)<<uint(j)) == 0) {
+					if fresh && led.vouches(j) {
 						vouched[node] = true
 					}
 				}
@@ -329,7 +336,8 @@ func (mm *MM) onPong(p *Pong) {
 		mm.ctl.ledger[p.Node] = led
 	}
 	if p.Seq > led.seq {
-		led.seq, led.min, led.absent = p.Seq, p.MinSeq, p.Absent
+		led.seq, led.min = p.Seq, p.MinSeq
+		led.absent = append(led.absent[:0], p.Absent...)
 	}
 	if t0, ok := mm.ctl.hbSent[p.Seq]; ok {
 		complete := true

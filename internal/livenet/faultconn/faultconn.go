@@ -1,26 +1,20 @@
 // Package faultconn injects deterministic faults into livenet
 // connections for chaos testing. A Conn wraps a net.Conn and applies a
-// Plan — a fixed schedule of faults keyed to byte offsets and fragment
+// Plan — a fixed schedule of faults keyed to byte offsets and frame
 // ordinals observed on the wire — so a failure scenario is fully
 // reproducible from its seed: hard close at fragment k or at control
 // frame k, one-way partitions, per-write delay, duplicated and
 // corrupted frag frames, and injected dial failures.
 //
-// The wrapper is frame-aware: it runs the livenet frame grammar ('G'
-// control frames — Register, Submit, Plan, Launch and the other job- and
-// membership-rate kinds — behind a u32 length prefix, 'F' frag frames
-// with an 18-byte header carrying the payload length at offset 13, 'A'
-// fixed 18-byte acks, the fixed typed
-// control frames 'P'/'Q'/'S'/'T', the varlen control frames
-// 'K'/'R'/'D' whose fixed part ends in a u16 error length, and the
-// delta-transfer frames 'M'/'H'/'N' whose fixed part carries a tail
-// element count — u32 of 12-byte chunk records for a manifest, u16 of
-// 8-byte bitmap words for HAVE/need ledgers) as a
-// streaming state machine over both directions, so triggers land on
-// exact frame boundaries regardless of how the transport chunks
-// writes. Beyond the fragment triggers, CtlFaults drop, duplicate, or
-// delay one typed control frame picked by kind and per-kind ordinal —
-// e.g. "drop the 3rd heartbeat ping this conn sends".
+// The wrapper is frame-aware but layout-blind. Every livenet frame is
+// type u8 | len u32 | body, so a three-state scanner (type, length,
+// body) over each direction finds exact frame boundaries however the
+// transport chunks writes, and counts frames per type byte. The one
+// layout fact it knows is that an 'F' body opens with a FragHdrLen-byte
+// header before the payload, which is where CorruptFrag aims. Beyond
+// the fragment triggers, CtlFaults drop, duplicate, or delay one frame
+// picked by type byte and per-type ordinal — e.g. "drop the 3rd
+// heartbeat ping this conn sends".
 //
 // Plans are wired in behind livenet's Config.Dialer / Config.WrapConn
 // hooks; the package deliberately does not import livenet, so it can
@@ -45,7 +39,7 @@ import (
 // every trigger disabled.
 type Plan struct {
 	// Write-path faults (bytes this endpoint sends).
-	CloseAtFrag   int           // hard-close mid-header of the k-th outgoing frag frame
+	CloseAtFrag   int           // hard-close right after the envelope of the k-th outgoing frag frame
 	DropAfter     int64         // >0: outbound one-way partition after this many bytes (writes report success, bytes vanish)
 	WriteDelay    time.Duration // injected before every write
 	DuplicateFrag int           // retransmit the k-th outgoing frag frame immediately after itself
@@ -179,10 +173,10 @@ func (g *Gate) wait(done <-chan struct{}) error {
 	}
 }
 
-// CtlFault is one deterministic fault on a typed control frame: the
-// Index-th outgoing frame of type Kind ('P' ping, 'Q' pong, 'S'
-// strobe, 'T' strobe ack) is dropped, duplicated back-to-back, or
-// delayed by Delay while later frames queue behind it — the classic
+// CtlFault is one deterministic fault on a frame: the Index-th
+// outgoing frame of type Kind (e.g. 'P' ping, 'Q' pong, 'S' strobe,
+// 'T' strobe ack) is dropped, duplicated back-to-back, or delayed by
+// Delay while later frames queue behind it — the classic
 // lost/duplicated/late heartbeat cases a tree control plane must
 // absorb without false convictions.
 type CtlFault struct {
@@ -201,206 +195,69 @@ func NewPlan() Plan {
 // a Plan hard-closed.
 var ErrInjectedClose = errors.New("faultconn: injected connection close")
 
-// frame grammar constants, mirroring livenet's wire format.
 const (
-	fragHdrLen  = 18 // job u32 | index u32 | flags u8 | crc u32 | len u32 | stripe u8
-	ackBodyLen  = 18
-	lenOffInHdr = 13 // payload length within the frag header
-	gobLenBytes = 4
-	stType      = 0 // expecting a frame type byte
-	stGobLen    = 1
-	stFragHdr   = 2
-	stSkipN     = 3 // skipping a fixed-size remainder (ack body, control payload, ctl error)
-	stFragBody  = 4
-	stCtl       = 5 // inside a fixed-body typed control frame
-	stVarHdr    = 6 // reading the fixed part of a varlen control frame
-
-	// typed control frame sizes (proto.go). The varlen kinds carry a
-	// u16 error length in the last two bytes of the fixed part.
-	pingBodyLen       = 12
-	pongBodyLen       = 32
-	strobeBodyLen     = 16
-	strobeAckBodyLen  = 16
-	planAckFixedLen   = 10
-	replanAckFixedLen = 19 // stripe byte precedes the trailing u16 error length
-	peerDownFixedLen  = 14
-	manifestFixedLen  = 29 // u32 chunk count at offset 24, stripe u8, 12-byte records follow
-	haveFixedLen      = 15 // u16 word count at offset 12, stripe u8, 8-byte words follow
-	needFixedLen      = 11 // u16 word count at offset 8, stripe u8, 8-byte words follow
-	helloBodyLen      = 4  // shared-listener routing hello ('L')
-
-	scanHdrLen = manifestFixedLen // widest fixed region buffered by the scanner
+	// envLen is the frame envelope: type u8 | len u32.
+	envLen = 5
+	// FragHdrLen is the fixed header that opens an 'F' body; the
+	// fragment payload follows it.
+	FragHdrLen = 14
 )
 
-// ctlKindIdx maps a fixed-body control frame type byte to its ordinal
-// counter slot, or -1.
-func ctlKindIdx(b byte) int {
-	switch b {
-	case 'P':
-		return 0
-	case 'Q':
-		return 1
-	case 'S':
-		return 2
-	case 'T':
-		return 3
-	}
-	return -1
-}
+// scanner states.
+const (
+	stType = iota // expecting a frame type byte
+	stLen         // reading the u32 body length
+	stBody        // inside the body
+)
 
 // scanner is a streaming parser over one direction of the frame
 // stream. step consumes a byte and reports frame-boundary events.
 type scanner struct {
-	state   int
-	need    int // bytes left in the current fixed-size region
-	hdr     [scanHdrLen]byte
-	got     int
-	bodyPos int // current byte's offset within a frag payload
-	frags   int // frag frames seen so far; current ordinal is frags-1
-	gobs    int // 'G' frames seen so far; current ordinal is gobs-1
-
-	ctlKind   byte   // type byte of the fixed control frame being scanned
-	ctlCounts [4]int // per-kind ordinals for 'P','Q','S','T'
-	varElen   int    // offset of the tail-count field in the varlen fixed part
-	varWidth  int    // width of that count field (2 or 4 bytes)
-	varUnit   int    // bytes per counted tail element (1 for error strings)
+	state  int
+	lenBuf [envLen - 1]byte
+	got    int // length bytes read so far
+	need   int // body bytes left
+	pos    int // offset of the next body byte
+	typ    byte
+	counts [256]int // frames begun so far, per type byte
 }
 
 type event struct {
-	fragHdrDone   bool // this byte completed a frag header
-	fragFrameDone bool // this byte completed a frag frame
-	inFragBody    bool // this byte is frag payload
-	bodyPos       int
-	ord           int // fragment ordinal the event refers to
+	typ byte // type of the frame this byte belongs to
+	ord int  // that frame's per-type ordinal (0-based)
 
-	ctlBegin bool // this byte is the type byte of a fixed control frame
-	ctlDone  bool // this byte completed a fixed control frame
-	ctlKind  byte
-	ctlOrd   int // per-kind ordinal the ctl event refers to
-
-	gobBegin bool // this byte is the type byte of a 'G' frame
-	gobOrd   int  // 'G' ordinal the event refers to
+	begin   bool // this byte is the frame's type byte
+	envDone bool // this byte completed the envelope
+	done    bool // this byte completed the frame
+	inBody  bool // this byte is body byte pos
+	pos     int
 }
 
 func (s *scanner) step(b byte) event {
-	var ev event
+	if s.state == stType {
+		s.typ, s.state, s.got = b, stLen, 0
+		s.counts[b]++
+		return event{typ: b, ord: s.counts[b] - 1, begin: true}
+	}
+	ev := event{typ: s.typ, ord: s.counts[s.typ] - 1}
 	switch s.state {
-	case stType:
-		switch b {
-		case 'G':
-			ev.gobBegin, ev.gobOrd = true, s.gobs
-			s.gobs++
-			s.state, s.need = stGobLen, gobLenBytes
-			s.got = 0
-		case 'F':
-			s.state, s.got = stFragHdr, 0
-		case 'A':
-			s.state, s.need = stSkipN, ackBodyLen
-		case 'P', 'Q', 'S', 'T':
-			var n int
-			switch b {
-			case 'P':
-				n = pingBodyLen
-			case 'Q':
-				n = pongBodyLen
-			case 'S':
-				n = strobeBodyLen
-			case 'T':
-				n = strobeAckBodyLen
-			}
-			idx := ctlKindIdx(b)
-			ev.ctlBegin, ev.ctlKind, ev.ctlOrd = true, b, s.ctlCounts[idx]
-			s.ctlCounts[idx]++
-			s.ctlKind = b
-			s.state, s.need = stCtl, n
-		case 'K':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, planAckFixedLen, planAckFixedLen-2, 2, 1
-		case 'R':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, replanAckFixedLen, replanAckFixedLen-2, 2, 1
-		case 'D':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, peerDownFixedLen, peerDownFixedLen-2, 2, 1
-		case 'M':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, manifestFixedLen, manifestFixedLen-5, 4, 12
-		case 'H':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, haveFixedLen, haveFixedLen-3, 2, 8
-		case 'N':
-			s.state, s.got, s.need, s.varElen, s.varWidth, s.varUnit = stVarHdr, 0, needFixedLen, needFixedLen-3, 2, 8
-		case 'L':
-			// Shared-listener routing hello: fixed body, nothing to
-			// count — but it must be consumed as a frame, or its body
-			// bytes would be misread as frame types and desync the
-			// scanner on hub-routed links.
-			s.state, s.need = stSkipN, helloBodyLen
-		default:
-			// Unknown byte: stay in stType. The real codec would error;
-			// the scanner just degrades to pass-through.
-		}
-	case stGobLen:
-		s.hdr[s.got] = b
+	case stLen:
+		s.lenBuf[s.got] = b
 		s.got++
-		s.need--
-		if s.need == 0 {
-			n := int(binary.BigEndian.Uint32(s.hdr[:gobLenBytes]))
-			if n == 0 {
-				s.state = stType
-			} else {
-				s.state, s.need = stSkipN, n
+		if s.got == len(s.lenBuf) {
+			ev.envDone = true
+			s.need, s.pos = int(binary.BigEndian.Uint32(s.lenBuf[:])), 0
+			s.state = stBody
+			if s.need == 0 {
+				ev.done, s.state = true, stType
 			}
 		}
-	case stFragHdr:
-		s.hdr[s.got] = b
-		s.got++
-		if s.got == fragHdrLen {
-			ev.fragHdrDone = true
-			ev.ord = s.frags
-			s.frags++
-			n := int(binary.BigEndian.Uint32(s.hdr[lenOffInHdr:]))
-			if n == 0 {
-				ev.fragFrameDone = true
-				s.state = stType
-			} else {
-				s.state, s.need, s.bodyPos = stFragBody, n, 0
-			}
-		}
-	case stFragBody:
-		ev.inFragBody = true
-		ev.bodyPos = s.bodyPos
-		ev.ord = s.frags - 1
-		s.bodyPos++
+	case stBody:
+		ev.inBody, ev.pos = true, s.pos
+		s.pos++
 		s.need--
 		if s.need == 0 {
-			ev.fragFrameDone = true
-			s.state = stType
-		}
-	case stCtl:
-		s.need--
-		if s.need == 0 {
-			idx := ctlKindIdx(s.ctlKind)
-			ev.ctlDone, ev.ctlKind, ev.ctlOrd = true, s.ctlKind, s.ctlCounts[idx]-1
-			s.state = stType
-		}
-	case stVarHdr:
-		s.hdr[s.got] = b
-		s.got++
-		s.need--
-		if s.need == 0 {
-			var n int
-			if s.varWidth == 4 {
-				n = int(binary.BigEndian.Uint32(s.hdr[s.varElen : s.varElen+4]))
-			} else {
-				n = int(binary.BigEndian.Uint16(s.hdr[s.varElen : s.varElen+2]))
-			}
-			n *= s.varUnit
-			if n == 0 {
-				s.state = stType
-			} else {
-				s.state, s.need = stSkipN, n
-			}
-		}
-	case stSkipN:
-		s.need--
-		if s.need == 0 {
-			s.state = stType
+			ev.done, s.state = true, stType
 		}
 	}
 	return ev
@@ -415,8 +272,7 @@ type Conn struct {
 	wScan    scanner
 	written  int64
 	dropping bool
-	frame    []byte // current outgoing frame bytes, kept only while DuplicateFrag is armed
-	inFrame  bool
+	frame    []byte // current outgoing frag frame bytes, kept only while DuplicateFrag is armed
 
 	ctlHold    []byte // bytes of a control frame withheld for a pending CtlFault
 	ctlHolding bool
@@ -442,7 +298,7 @@ func Wrap(c net.Conn, plan Plan) *Conn {
 }
 
 // armedCtlFault returns the index of an unfired fault matching the
-// control frame that just began, or -1.
+// frame that just began, or -1.
 func (c *Conn) armedCtlFault(kind byte, ord int) int {
 	for i, f := range c.plan.CtlFaults {
 		if !c.ctlFired[i] && f.Kind == kind && f.Index == ord {
@@ -510,9 +366,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 	capture := c.plan.DuplicateFrag >= 0
 	for i := 0; i < len(p); i++ {
 		b := p[i]
-		prev := c.wScan.state
 		ev := c.wScan.step(b)
-		if ev.gobBegin && ev.gobOrd == c.plan.FailWriteGob {
+		frag := ev.typ == 'F'
+		if ev.begin && ev.typ == 'G' && ev.ord == c.plan.FailWriteGob {
 			// Crash before the frame: everything earlier in this chunk goes
 			// out, the targeted 'G' frame never starts. The receiver sees a
 			// clean frame boundary then EOF; the sender sees a write error.
@@ -520,34 +376,34 @@ func (c *Conn) Write(p []byte) (int, error) {
 				c.Conn.Write(out)
 			}
 			c.kill("gob-close")
-			return i, fmt.Errorf("%w (at outgoing 'G' frame %d)", ErrInjectedClose, ev.gobOrd)
+			return i, fmt.Errorf("%w (at outgoing 'G' frame %d)", ErrInjectedClose, ev.ord)
 		}
-		if ev.fragHdrDone && ev.ord == c.plan.CloseAtFrag {
+		if frag && ev.envDone && ev.ord == c.plan.CloseAtFrag {
 			// Crash mid-frame: flush what was already on the wire plus
-			// the torn header, then die. The receiver sees a truncated
+			// the envelope, then die. The receiver sees a truncated
 			// frame; the sender sees a write error.
 			out = append(out, b)
 			c.Conn.Write(out)
 			c.kill("close")
 			return i + 1, fmt.Errorf("%w (at outgoing fragment %d)", ErrInjectedClose, ev.ord)
 		}
-		if ev.inFragBody && ev.ord == c.plan.CorruptFrag && ev.bodyPos == 0 {
+		if frag && ev.inBody && ev.ord == c.plan.CorruptFrag && ev.pos == FragHdrLen {
 			b ^= 0xFF
 			c.fire("corrupt")
 		}
-		if !c.ctlHolding && ev.ctlBegin {
-			if fi := c.armedCtlFault(ev.ctlKind, ev.ctlOrd); fi >= 0 {
+		if !c.ctlHolding && ev.begin {
+			if fi := c.armedCtlFault(ev.typ, ev.ord); fi >= 0 {
 				c.ctlHolding, c.ctlFaultIx = true, fi
 				c.ctlHold = c.ctlHold[:0]
 			}
 		}
 		held := c.ctlHolding
 		if held {
-			// Withhold the targeted control frame's bytes — across Write
-			// call boundaries if the frame is split — and resolve the
-			// fault on its final byte.
+			// Withhold the targeted frame's bytes — across Write call
+			// boundaries if the frame is split — and resolve the fault on
+			// its final byte.
 			c.ctlHold = append(c.ctlHold, b)
-			if ev.ctlDone {
+			if ev.done {
 				f := c.plan.CtlFaults[c.ctlFaultIx]
 				c.ctlFired[c.ctlFaultIx] = true
 				c.ctlHolding = false
@@ -585,21 +441,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if !held {
 			out = append(out, b)
 		}
-		if !held && capture {
-			if prev == stType && c.wScan.state == stFragHdr {
-				// 'F' type byte just consumed: a frag frame starts here.
+		if !held && capture && frag {
+			if ev.begin {
 				c.frame = c.frame[:0]
-				c.inFrame = true
 			}
-			if c.inFrame {
-				c.frame = append(c.frame, b)
-				if ev.fragFrameDone {
-					c.inFrame = false
-					if ev.ord == c.plan.DuplicateFrag {
-						out = append(out, c.frame...)
-						c.fire("duplicate")
-					}
-				}
+			c.frame = append(c.frame, b)
+			if ev.done && ev.ord == c.plan.DuplicateFrag {
+				out = append(out, c.frame...)
+				c.fire("duplicate")
 			}
 		}
 		if c.plan.DropAfter > 0 && c.written+int64(len(out)) >= c.plan.DropAfter {
@@ -640,7 +489,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		c.rmu.Lock()
 		for i := 0; i < n; i++ {
 			ev := c.rScan.step(p[i])
-			if ev.fragFrameDone && ev.ord == c.plan.CloseAtReadFrag {
+			if ev.done && ev.typ == 'F' && ev.ord == c.plan.CloseAtReadFrag {
 				c.rmu.Unlock()
 				// Deliver through the end of the fatal fragment, then die:
 				// the node processes fragment k and crashes.

@@ -9,76 +9,40 @@ import (
 	"time"
 )
 
+// frame assembles one frame: type byte, u32 body length, body.
+func frame(t byte, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32([]byte{t}, uint32(len(body))), body...)
+}
+
 // buildFrag assembles one 'F' frame with an n-byte payload.
 func buildFrag(index, n int) []byte {
-	buf := make([]byte, 1+fragHdrLen+n)
-	buf[0] = 'F'
-	binary.BigEndian.PutUint32(buf[1:], 1) // job
-	binary.BigEndian.PutUint32(buf[5:], uint32(index))
-	buf[9] = 0
-	binary.BigEndian.PutUint32(buf[10:], 0xdeadbeef)
-	binary.BigEndian.PutUint32(buf[14:], uint32(n))
+	body := make([]byte, FragHdrLen+n)
+	binary.BigEndian.PutUint32(body[0:], 1) // job
+	binary.BigEndian.PutUint32(body[4:], uint32(index))
+	binary.BigEndian.PutUint32(body[9:], 0xdeadbeef)
 	for i := 0; i < n; i++ {
-		buf[1+fragHdrLen+i] = byte(i)
+		body[FragHdrLen+i] = byte(i)
 	}
-	return buf
+	return frame('F', body)
 }
 
-func buildGob(n int) []byte {
-	buf := make([]byte, 1+4+n)
-	buf[0] = 'G'
-	binary.BigEndian.PutUint32(buf[1:], uint32(n))
-	return buf
-}
+func buildGob(n int) []byte { return frame('G', make([]byte, n)) }
 
-func buildAck() []byte {
-	buf := make([]byte, 1+ackBodyLen)
-	buf[0] = 'A'
-	return buf
-}
+func buildAck() []byte { return frame('A', make([]byte, 6)) }
 
-// buildCtl assembles one fixed-body typed control frame with a
-// non-trivial body pattern.
+// buildCtl assembles one control frame with a non-trivial body pattern.
 func buildCtl(kind byte) []byte {
-	var n int
-	switch kind {
-	case 'P':
-		n = pingBodyLen
-	case 'Q':
-		n = pongBodyLen
-	case 'S':
-		n = strobeBodyLen
-	case 'T':
-		n = strobeAckBodyLen
-	default:
-		panic("not a fixed ctl kind")
+	body := make([]byte, 12)
+	for i := range body {
+		body[i] = byte(0x41 + i)
 	}
-	buf := make([]byte, 1+n)
-	buf[0] = kind
-	for i := 1; i < len(buf); i++ {
-		buf[i] = byte(0x40 + i)
-	}
-	return buf
+	return frame(kind, body)
 }
 
-// buildVarCtl assembles one varlen control frame ('K'/'R'/'D') with the
-// given trailing error string.
+// buildVarCtl assembles one control frame ('K'/'R'/'D') ending in the
+// given error string.
 func buildVarCtl(kind byte, errStr string) []byte {
-	var fixed int
-	switch kind {
-	case 'K':
-		fixed = planAckFixedLen
-	case 'R':
-		fixed = replanAckFixedLen
-	case 'D':
-		fixed = peerDownFixedLen
-	default:
-		panic("not a varlen ctl kind")
-	}
-	buf := make([]byte, 1+fixed, 1+fixed+len(errStr))
-	buf[0] = kind
-	binary.BigEndian.PutUint16(buf[1+fixed-2:], uint16(len(errStr)))
-	return append(buf, errStr...)
+	return frame(kind, append([]byte{1, 2, byte(len(errStr))}, errStr...))
 }
 
 // pipeConn returns both ends of an in-memory connection.
@@ -108,7 +72,7 @@ func TestScannerCountsFragsAcrossChunking(t *testing.T) {
 				end = len(stream)
 			}
 			for _, b := range stream[i:end] {
-				if ev := s.step(b); ev.fragFrameDone {
+				if ev := s.step(b); ev.done && ev.typ == 'F' {
 					frames++
 				}
 			}
@@ -179,11 +143,11 @@ func TestCorruptFragFlipsOnePayloadByte(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	<-done
-	frameLen := 1 + fragHdrLen + 32
+	frameLen := envLen + FragHdrLen + 32
 	if !bytes.Equal(got[:frameLen], sent[:frameLen]) {
 		t.Fatal("fragment 0 was modified")
 	}
-	corruptAt := frameLen + 1 + fragHdrLen // first payload byte of frag 1
+	corruptAt := frameLen + envLen + FragHdrLen // first payload byte of frag 1
 	want := append([]byte{}, sent...)
 	want[corruptAt] ^= 0xFF
 	if !bytes.Equal(got, want) {
@@ -350,7 +314,7 @@ func TestFlakyDialer(t *testing.T) {
 }
 
 // TestScannerTypedControlFrames: the scanner tracks frag ordinals and
-// per-kind control ordinals through a stream mixing every frame kind,
+// per-type control ordinals through a stream mixing frame types,
 // regardless of chunking — no desync on 'P'/'Q'/'S'/'T'/'K'/'R'/'D'.
 func TestScannerTypedControlFrames(t *testing.T) {
 	var stream []byte
@@ -369,7 +333,7 @@ func TestScannerTypedControlFrames(t *testing.T) {
 	for _, chunk := range []int{1, 2, 5, 13, len(stream)} {
 		var s scanner
 		frags := 0
-		var ctl [4]int
+		var ctl [4]int // ping, pong, strobe, strobe ack
 		for i := 0; i < len(stream); i += chunk {
 			end := i + chunk
 			if end > len(stream) {
@@ -377,11 +341,20 @@ func TestScannerTypedControlFrames(t *testing.T) {
 			}
 			for _, b := range stream[i:end] {
 				ev := s.step(b)
-				if ev.fragFrameDone {
-					frags++
+				if !ev.done {
+					continue
 				}
-				if ev.ctlDone {
-					ctl[ctlKindIdx(ev.ctlKind)]++
+				switch ev.typ {
+				case 'F':
+					frags++
+				case 'P':
+					ctl[0]++
+				case 'Q':
+					ctl[1]++
+				case 'S':
+					ctl[2]++
+				case 'T':
+					ctl[3]++
 				}
 			}
 		}

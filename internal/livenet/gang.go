@@ -11,7 +11,7 @@ import (
 // quantum; each NM enacts the coordinated context switch by opening the
 // gates of the designated row's processes and closing the others — the
 // same MM/NM division of labor as the simulated scheduler, on wall-clock
-// time. Strobes travel as fixed-layout 'S' frames down the control tree,
+// time. Strobes travel as 'S' frames down the control tree,
 // never through the bulk fragment path, so a context switch cannot
 // queue behind a binary transfer's buffered data.
 

@@ -174,7 +174,8 @@ func TestNMPeerConnSingleFlight(t *testing.T) {
 	})
 	src, dst := nms[0], nms[1]
 	addr := dst.PeerAddr()
-	dstAddr.Store(addr)
+	endpoint, _, _ := splitPeerAddr(addr) // what the Dialer sees
+	dstAddr.Store(endpoint)
 
 	const racers = 16
 	conns := make([]*conn, racers)

@@ -19,7 +19,8 @@ import (
 // NMConfig tunes a live Node Manager.
 type NMConfig struct {
 	// PeerAddr is the listen address for relay connections from parent
-	// NMs in the forwarding tree (default "127.0.0.1:0").
+	// NMs in the forwarding tree (default "127.0.0.1:0"). Without a Hub
+	// the NM runs a private PeerHub of one there.
 	PeerAddr string
 	// SpoolDir, when set, makes the NM persist each job's binary image
 	// to disk: fragments append to a job-private temp file that is
@@ -46,10 +47,10 @@ type NMConfig struct {
 	// internal/livenet/faultconn).
 	Dialer   Dialer
 	WrapConn func(net.Conn) net.Conn
-	// Hub, when set, replaces the NM's private relay listener with the
-	// shared per-process PeerHub: the NM registers a routed
-	// "host:port#node" peer address and inbound relay connections are
-	// demultiplexed by the hub's single accept loop. PeerAddr is ignored.
+	// Hub, when set, is the shared per-process PeerHub the NM registers
+	// its routed "host:port#node" peer address with; inbound relay
+	// connections are demultiplexed by the hub's single accept loop and
+	// PeerAddr is ignored. Nil gives the NM a private hub of one.
 	Hub *PeerHub
 	// Lite selects the dense connection profile (shallow buffered I/O,
 	// kernel-autotuned socket buffers) on every connection this NM
@@ -77,12 +78,12 @@ type NMConfig struct {
 // forks processes through its Program Launchers (goroutines), and
 // reports terminations and heartbeats.
 type NM struct {
-	node   int
-	cpus   int
-	cfg    NMConfig
-	c      *conn
-	peerLn net.Listener      // nil when a shared PeerHub routes inbound links
-	cache  *chunkcache.Cache // nil when caching is disabled
+	node  int
+	cpus  int
+	cfg   NMConfig
+	c     *conn
+	hub   *PeerHub          // routes inbound relay links here: cfg.Hub or a private one
+	cache *chunkcache.Cache // nil when caching is disabled
 
 	mu      sync.Mutex
 	bins    map[int]*binState     // job -> receive state
@@ -222,34 +223,22 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 		pumps:   make(map[*conn]struct{}),
 		gates:   make(map[int]*gateRow),
 		closed:  make(chan struct{})}
-	var peerAddr string
-	if cfg.Hub != nil {
-		// Shared-listener mode: no private listener, no accept
-		// goroutine; the hub routes inbound relay connections here by
-		// the dialer's hello frame.
-		if err := cfg.Hub.register(node, nm); err != nil {
+	nm.hub = cfg.Hub
+	if nm.hub == nil {
+		hub, err := NewPeerHub(cfg.PeerAddr)
+		if err != nil {
 			return nil, err
 		}
-		peerAddr = cfg.Hub.NodeAddr(node)
-	} else {
-		la := cfg.PeerAddr
-		if la == "" {
-			la = "127.0.0.1:0"
-		}
-		ln, err := net.Listen("tcp", la)
-		if err != nil {
-			return nil, fmt.Errorf("livenet: peer listen %s: %w", la, err)
-		}
-		nm.peerLn = ln
-		peerAddr = ln.Addr().String()
+		nm.hub = hub
 	}
+	if err := nm.hub.register(node, nm); err != nil {
+		nm.closeHub()
+		return nil, err
+	}
+	peerAddr := nm.hub.NodeAddr(node)
 	fail := func() {
-		if nm.peerLn != nil {
-			nm.peerLn.Close()
-		}
-		if cfg.Hub != nil {
-			cfg.Hub.unregister(node, nm)
-		}
+		nm.hub.unregister(node, nm)
+		nm.closeHub()
 	}
 	if cfg.SpoolDir != "" {
 		if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
@@ -305,10 +294,6 @@ func NewNMConfig(addr string, node, cpus int, cfg NMConfig) (*NM, error) {
 	}
 	nm.wg.Add(1)
 	go nm.loop()
-	if nm.peerLn != nil {
-		nm.wg.Add(1)
-		go nm.acceptPeers()
-	}
 	return nm, nil
 }
 
@@ -328,13 +313,15 @@ func (nm *NM) Node() int { return nm.node }
 // detector running).
 func (nm *NM) Probation() int { return nm.probation }
 
-// PeerAddr returns the NM's relay address: its private listener, or its
-// routed "host:port#node" hub address in shared-listener mode.
-func (nm *NM) PeerAddr() string {
-	if nm.cfg.Hub != nil {
-		return nm.cfg.Hub.NodeAddr(nm.node)
+// PeerAddr returns the NM's routed "host:port#node" relay address on
+// its hub.
+func (nm *NM) PeerAddr() string { return nm.hub.NodeAddr(nm.node) }
+
+// closeHub stops the NM's private hub; a shared one outlives the NM.
+func (nm *NM) closeHub() {
+	if nm.hub != nm.cfg.Hub {
+		nm.hub.Close()
 	}
-	return nm.peerLn.Addr().String()
 }
 
 // FragsWritten returns the number of verified fragments written.
@@ -403,12 +390,8 @@ func (nm *NM) Close() {
 	}
 	nm.mu.Unlock()
 	nm.c.close()
-	if nm.peerLn != nil {
-		nm.peerLn.Close()
-	}
-	if nm.cfg.Hub != nil {
-		nm.cfg.Hub.unregister(nm.node, nm)
-	}
+	nm.hub.unregister(nm.node, nm)
+	nm.closeHub()
 	nm.mu.Lock()
 	for pc := range nm.peers {
 		pc.close()
@@ -471,39 +454,11 @@ func (nm *NM) loop() {
 	}
 }
 
-// acceptPeers serves relay connections from parent NMs.
-func (nm *NM) acceptPeers() {
-	defer nm.wg.Done()
-	for {
-		nc, err := nm.peerLn.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if nm.cfg.WrapConn != nil {
-			nc = nm.cfg.WrapConn(nc)
-		}
-		pc := newConnProf(nc, nm.profile())
-		nm.mu.Lock()
-		select {
-		case <-nm.closed:
-			// Close already swept peers: this conn would never be closed.
-			nm.mu.Unlock()
-			pc.close()
-			return
-		default:
-		}
-		nm.peers[pc] = struct{}{}
-		nm.wg.Add(1)
-		nm.mu.Unlock()
-		go nm.servePeer(pc)
-	}
-}
-
-// adoptPeer accepts an inbound relay connection routed by a shared
-// PeerHub: the NM's own fault hook and connection profile apply exactly
-// as they would on a privately-accepted connection. Returns false (and
-// adopts nothing) if the NM is already closed — the connection then
-// belongs to the caller.
+// adoptPeer accepts an inbound relay connection routed by the NM's
+// PeerHub — the one path every inbound relay link takes, so the NM's
+// fault hook and connection profile apply in one place. Returns false
+// (and adopts nothing) if the NM is already closed — the connection
+// then belongs to the caller.
 func (nm *NM) adoptPeer(nc net.Conn) bool {
 	if nm.cfg.WrapConn != nil {
 		nc = nm.cfg.WrapConn(nc)
@@ -826,7 +781,7 @@ func (nm *NM) pumpChildAcks(cc *conn) {
 			}
 			nm.mu.Unlock()
 			if parent != nil {
-				parent.sendAck(a)
+				parent.send(Message{FragAck: a})
 			}
 			continue
 		}
@@ -965,7 +920,7 @@ func (nm *NM) handleFrag(f *Frag, from *conn) {
 		return
 	}
 	if !ok {
-		from.sendAck(&FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false})
+		from.send(Message{FragAck: &FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false}})
 		return
 	}
 	nm.advanceAck(f.Job, f.Stripe)
@@ -1034,7 +989,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	children := sr.children
 	nm.mu.Unlock()
 
-	// Relay first, straight from conn scratch (sendManifest copies to the
+	// Relay first, straight from conn scratch (send encodes it to the
 	// wire), so the subtree's cache drains overlap our own.
 	for _, rc := range children {
 		nm.relayMsg(m.Job, rc, Message{Manifest: m})
@@ -1097,7 +1052,7 @@ func (nm *NM) onManifest(m *Manifest, from *conn) {
 	epoch := sr.epoch
 	nm.mu.Unlock()
 	if failIdx >= 0 {
-		parent.sendAck(&FragAck{Job: m.Job, Index: failIdx, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false})
+		parent.send(Message{FragAck: &FragAck{Job: m.Job, Index: failIdx, Node: nm.node, Epoch: epoch, Stripe: m.Stripe, OK: false}})
 		return
 	}
 	// The drain may have satisfied chunks of every stripe, and other
@@ -1246,7 +1201,7 @@ func (nm *NM) onNeedMask(n *NeedMask) {
 		nm.relayMsg(n.Job, km.rc, Message{NeedMask: &NeedMask{Job: n.Job, Epoch: epoch, Stripe: n.Stripe, Bits: km.bits}})
 	}
 	if stuck >= 0 && parent != nil {
-		parent.sendAck(&FragAck{Job: n.Job, Index: stuck, Node: nm.node, Epoch: epoch, Stripe: n.Stripe, OK: false})
+		parent.send(Message{FragAck: &FragAck{Job: n.Job, Index: stuck, Node: nm.node, Epoch: epoch, Stripe: n.Stripe, OK: false}})
 	}
 }
 
@@ -1308,7 +1263,7 @@ func (nm *NM) writeManifestChunk(f *Frag, from *conn, epoch int, drop bool) {
 		return
 	}
 	if !ok {
-		from.sendAck(&FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false})
+		from.send(Message{FragAck: &FragAck{Job: f.Job, Index: f.Index, Node: nm.node, Epoch: epoch, Stripe: f.Stripe, OK: false}})
 		return
 	}
 	nm.advanceAck(f.Job, f.Stripe)
@@ -1588,7 +1543,7 @@ func (nm *NM) advanceAck(job, stripe int) {
 	parent := sr.parent
 	epoch := sr.epoch
 	nm.mu.Unlock()
-	parent.sendAck(&FragAck{Job: job, Index: min - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true})
+	parent.send(Message{FragAck: &FragAck{Job: job, Index: min - 1, Node: nm.node, Epoch: epoch, Stripe: stripe, OK: true}})
 }
 
 // onChildDead enacts the MM's leaf-prune on one stripe: the named child

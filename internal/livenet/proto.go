@@ -15,17 +15,17 @@
 // actual distributed resource manager on localhost, not only as a
 // simulator.
 //
-// Wire format: every message is a frame that opens with one type byte,
-// and one hand-written binary codec serves them all. The bulk path —
-// binary fragments and their acks — uses fixed binary headers ('F' and
-// 'A' frames) so a fragment is encoded exactly once and every child link
+// Wire format: every message is one frame, type u8 | len u32 | body,
+// and one hand-written body codec (codec.go) serves every kind. The
+// membership- and job-rate kinds (registration, submissions, topology
+// plans, launches, reports) share the 'G' type behind a kind byte; every
+// other kind — fragments and their acks, per-period control
+// (heartbeats, strobes, plan confirmations, HAVE folds) — has a type
+// byte of its own. A fragment body is a fixed header and then the
+// payload, so a fragment is encoded exactly once and every child link
 // is served from the same buffer with no per-destination marshalling.
-// Per-period control (heartbeats, strobes, plan confirmations, HAVE
-// folds) has fixed-layout frames of its own. The membership- and
-// job-rate remainder (registration, submissions, topology plans,
-// launches, reports) shares the length-prefixed 'G' frame: a kind byte,
-// then that kind's varint body (codec.go). No link carries codec state,
-// so a fresh connection costs nothing to speak on.
+// No link carries codec state, so a fresh connection costs nothing to
+// speak on.
 package livenet
 
 import (
@@ -144,17 +144,15 @@ type Report struct {
 	Retries int
 }
 
-// Message is the wire envelope. Exactly one pointer field is set.
+// Message is the decoded form of one frame. Exactly one pointer field
+// is set.
 //
-// Hot control messages (Ping, Pong, Strobe, StrobeAck, FragAck,
-// PlanAck, ReplanAck, PeerDown, Manifest, Have, NeedMask) travel in
-// fixed-layout typed frames, and recv decodes the zero-alloc subset into
-// conn-owned scratch structs: the pointers it returns for Ping, Pong,
-// Strobe, StrobeAck, FragAck, Manifest, Have, and NeedMask are only
-// valid until the next recv on the same conn — consume or copy them
-// before looping (Manifest has clone() for retention). The remaining
-// kinds share the 'G' control frame and decode into fresh structs the
-// receiver may keep.
+// recv decodes the hot kinds — Hello, Ping, Pong, Strobe, StrobeAck,
+// FragAck, Manifest, Have, and NeedMask — into conn-owned scratch
+// structs whose slices keep their capacity, so the pointers it returns
+// for them are only valid until the next recv on the same conn: consume
+// or copy them before looping (Manifest has clone() for retention). The
+// remaining kinds decode into fresh structs the receiver may keep.
 type Message struct {
 	Register  *Register
 	Hello     *Hello
@@ -224,17 +222,16 @@ type RejoinAck struct {
 	Err       string
 }
 
-// Hello routes an inbound relay connection on a shared peer listener
-// (see PeerHub): when many NMs live in one process they share one
-// listener instead of owning one each, and the dialer's first frame
-// names which NM the connection is for. It is always the first bytes on
-// such a connection and never appears once a link is established.
+// Hello routes an inbound relay connection on a peer listener (see
+// PeerHub): the dialer's first frame names which NM the connection is
+// for, so many NMs can share one listener. It is always the first frame
+// on a relay connection and never appears once a link is established.
 type Hello struct {
 	Node int
 }
 
-// Frag carries one fragment of a job's binary image. On the wire it is a
-// binary 'F' frame; Data received from recv is pooled and must
+// Frag carries one fragment of a job's binary image. On the wire it is
+// an 'F' frame; Data received from recv is pooled and must
 // be returned with releaseFragBuf once consumed. Stripe names the
 // spanning tree the fragment travels down (0 on a single-tree plan):
 // with a striped plan, chunk i belongs to stripe i%k and each stripe's
@@ -414,19 +411,20 @@ type Ping struct {
 // sequence any node in the sender's subtree is still vouched for, and
 // Absent is a bitmap of subtree members whose answers have gone stale,
 // indexed by the subtree's pre-order position (bit 0 = the sender
-// itself; only the first 64 positions are tracked — beyond that a
-// silent node is still caught when its whole subtree goes quiet). The
-// MM thus consumes exactly one frame per direct child per period and
-// still sees per-node liveness. Epoch is the control-tree generation
-// the ledger was aggregated under; a ledger from an older topology
-// vouched for a different subtree and is discarded. Epoch 0 marks a
-// directed isolation-probe reply, which bypasses the tree entirely.
+// itself), one word per 64 positions with trailing zero words dropped —
+// a healthy subtree's ledger carries no words at all. The MM thus
+// consumes exactly one frame per direct child per period and still
+// sees per-node liveness at any subtree size. Epoch is the control-tree
+// generation the ledger was aggregated under; a ledger from an older
+// topology vouched for a different subtree and is discarded. Epoch 0
+// marks a directed isolation-probe reply, which bypasses the tree
+// entirely.
 type Pong struct {
 	Seq    int64
 	Node   int
 	Epoch  int
 	MinSeq int64
-	Absent uint64
+	Absent []uint64
 }
 
 // Strobe is the live gang-scheduling context switch: row Row becomes
@@ -465,8 +463,8 @@ type CtlChild struct {
 // CtlPlan installs a node's role in the cluster-wide control tree (the
 // heartbeat/strobe fast path). It is sent only when membership changes
 // — registration, unregistration, conviction — so it rides the shared
-// 'G' control frame; the per-period traffic it enables has fixed-layout
-// frames of its own.
+// 'G' control frame; the per-period traffic it enables has frame types
+// of its own.
 type CtlPlan struct {
 	Epoch    int
 	Children []CtlChild
@@ -478,8 +476,8 @@ type CtlPlan struct {
 // it already holds in its content-addressed cache; ImageCRC is the
 // whole-image digest every NM re-verifies before committing its spool.
 // It multicasts down the forwarding tree like a fragment and, like the
-// hot control frames, travels as a typed 'M' frame with zero
-// steady-state allocations. recv returns it in conn-owned scratch —
+// hot control frames, travels as an 'M' frame with zero steady-state
+// allocations. recv returns it in conn-owned scratch —
 // clone() it to retain past the next recv. Stripe is the spanning tree
 // the copy multicast down (with per-stripe epochs, the same image map
 // travels once per stripe tree); Epoch is that stripe's tree
@@ -630,77 +628,48 @@ func seededFragInto(b []byte, seed uint64, index int) {
 	copy(b, tile[:len(b)])
 }
 
-// Frame types. Every frame starts with one type byte. 'G' carries the
-// job- and membership-rate kinds (Register, Submit, Plan, Replan,
-// CtlPlan, Launch, ...) as a kind byte plus a varint body; everything
-// that runs per-fragment or per-period has its own fixed-layout frame so
-// the hot paths decode at zero allocations.
+// Frame types. Every frame is type u8 | len u32 | body, len counting
+// the body bytes. 'G' carries the job- and membership-rate kinds
+// (Register, Submit, Plan, Replan, CtlPlan, Launch, ...) as a kind byte
+// plus the kind's body; every other type carries one message kind. All
+// bodies but the fragment payload are walks of the one body codec
+// (codec.go).
 const (
-	frameControl   = 'G' // 4-byte length + kind u8 + body (codec.go)
-	frameFrag      = 'F' // fragHdrLen header + payload
-	frameAck       = 'A' // ackHdrLen fixed body
-	framePing      = 'P' // pingBodyLen fixed body
-	framePong      = 'Q' // pongBodyLen fixed body
-	frameStrobe    = 'S' // strobeBodyLen fixed body
-	frameStrobeAck = 'T' // strobeAckBodyLen fixed body
-	framePlanAck   = 'K' // planAckFixedLen fixed part + error string
-	frameReplanAck = 'R' // replanAckFixedLen fixed part + error string
-	framePeerDown  = 'D' // peerDownFixedLen fixed part + error string
-	frameManifest  = 'M' // manifestFixedLen fixed part + nchunks×12 tail
-	frameHave      = 'H' // haveFixedLen fixed part + nwords×8 tail
-	frameNeed      = 'N' // needFixedLen fixed part + nwords×8 tail
-	frameHello     = 'L' // helloBodyLen fixed body (shared-listener demux)
+	frameControl   = 'G' // kind u8 + that kind's body
+	frameFrag      = 'F' // fragHdrLen fixed header + payload
+	frameAck       = 'A'
+	framePing      = 'P'
+	framePong      = 'Q'
+	frameStrobe    = 'S'
+	frameStrobeAck = 'T'
+	framePlanAck   = 'K'
+	frameReplanAck = 'R'
+	framePeerDown  = 'D'
+	frameManifest  = 'M'
+	frameHave      = 'H'
+	frameNeed      = 'N'
+	frameHello     = 'L' // relay-listener demux (PeerHub)
 )
 
 const (
-	// fragHdrLen is job u32 | index u32 | flags u8 | crc u32 | len u32 |
-	// stripe u8. The stripe byte rides at the end so the payload length
-	// keeps its offset (13) — the faultconn frame scanner and the hub
-	// demux depend on it.
-	fragHdrLen = 18
-	// ackHdrLen is job u32 | index u32 | node u32 | epoch u32 | ok u8 |
-	// stripe u8.
-	ackHdrLen = 18
-	// pingBodyLen is seq u64 | epoch u32.
-	pingBodyLen = 12
-	// pongBodyLen is seq u64 | node u32 | epoch u32 | minseq u64 | absent u64.
-	pongBodyLen = 32
-	// strobeBodyLen is seq u64 | row u32 | epoch u32.
-	strobeBodyLen = 16
-	// strobeAckBodyLen is seq u64 | node u32 | epoch u32.
-	strobeAckBodyLen = 16
-	// planAckFixedLen is job u32 | node u32 | elen u16 (error string follows).
-	planAckFixedLen = 10
-	// replanAckFixedLen is job u32 | node u32 | epoch u32 | received u32 |
-	// stripe u8 | elen u16 (the error length stays the last two fixed
-	// bytes, the invariant the faultconn scanner's varlen rule encodes).
-	replanAckFixedLen = 19
-	// peerDownFixedLen is job u32 | node u32 | from u32 | elen u16.
-	peerDownFixedLen = 14
-	// manifestFixedLen is job u32 | epoch u32 | chunkbytes u32 |
-	// imagecrc u32 | totalbytes u64 | nchunks u32 | stripe u8; a
-	// 12-byte (hash u64 | crc u32) record per chunk follows. nchunks
-	// keeps offset 24 for the faultconn scanner's tail count.
-	manifestFixedLen = 29
-	// haveFixedLen is job u32 | node u32 | epoch u32 | nwords u16 |
-	// stripe u8; the bitmap words follow, 8 bytes each.
-	haveFixedLen = 15
-	// needFixedLen is job u32 | epoch u32 | nwords u16 | stripe u8;
-	// bitmap words follow.
-	needFixedLen = 11
-	// helloBodyLen is node u32. A shared peer listener (PeerHub) reads
-	// exactly 1+helloBodyLen raw bytes off a fresh connection to learn
-	// which NM it is for, so the frame must stay fixed-size.
-	helloBodyLen = 4
-	// maxFrame bounds a frame payload (corruption guard).
+	// frameHdr is the envelope: type u8 | len u32.
+	frameHdr = 5
+	// fragHdrLen is the fixed header that opens an 'F' body (see
+	// wire.fragHdr); the payload fills the rest of the body.
+	fragHdrLen = 14
+	// maxFrame bounds a frame body (corruption guard).
 	maxFrame = 64 << 20
-	// maxCtlErr bounds the error string carried in a typed control
-	// frame; longer errors are truncated (they are diagnostics, not
+	// maxCtlErr bounds the error string carried in a control frame;
+	// longer errors are truncated on send (they are diagnostics, not
 	// data).
 	maxCtlErr = 1 << 12
-	// connScratchLen sizes the conn's frame scratch buffer: the largest
-	// fixed frame is the pong (1 type byte + pongBodyLen).
-	connScratchLen = 1 + pongBodyLen
+	// connScratchLen sizes the conn's receive scratch: an envelope, or
+	// a body this short (every per-period control frame), is read into
+	// it; longer bodies borrow pooled tail scratch.
+	connScratchLen = 64
+	// sendKeep is the largest send scratch a conn keeps between frames;
+	// a frame that grew it further hands it back to the tail pool.
+	sendKeep = 256
 )
 
 // fragBufPool recycles fragment payload buffers across the send, relay,
@@ -738,29 +707,18 @@ type conn struct {
 	r   *bufio.Reader
 	w   *bufio.Writer
 	wmu sync.Mutex
-	// hdr is the frame scratch buffer, guarded by wmu; reusing it keeps
-	// the bulk and control send paths at zero allocations per frame. It
-	// is sized for the largest fixed frame (the pong ledger); varlen
-	// control frames (PlanAck and kin) borrow its prefix and append the
-	// error string as a second write.
-	hdr [connScratchLen]byte
+	// hdr is the fragment header scratch and wbuf the encode scratch of
+	// every other frame, both guarded by wmu; reusing them keeps the
+	// send paths at zero allocations per frame.
+	hdr  [frameHdr + fragHdrLen]byte
+	wbuf *[]byte
 
-	// Decode scratch for the zero-alloc control subset: recv returns
-	// pointers into these, valid until the next recv. A conn has one
-	// reader (the read loop that owns it), so there is no aliasing.
-	// rbuf is the header/body read buffer — a conn field rather than a
-	// stack array because a stack array passed to io.ReadFull escapes
-	// and would cost an allocation per frame.
-	rbuf       [connScratchLen]byte
-	rHello     Hello
-	rPing      Ping
-	rPong      Pong
-	rStrobe    Strobe
-	rStrobeAck StrobeAck
-	rAck       FragAck
-	rManifest  Manifest // Hashes/CRCs grown once, reused across frames
-	rHave      Have     // Bits grown once
-	rNeed      NeedMask // Bits grown once
+	// rbuf is the envelope and short-body read buffer — a conn field
+	// rather than a stack array because a stack array passed to
+	// io.ReadFull escapes and would cost an allocation per frame — and
+	// rs the decode targets of the hot kinds.
+	rbuf [connScratchLen]byte
+	rs   recvScratch
 
 	sent       atomic.Int64 // bytes written, frames included
 	sentFrames atomic.Int64 // frames written (the control-egress metric)
@@ -798,144 +756,49 @@ func newConnProf(c net.Conn, prof connProfile) *conn {
 // errEmptyMessage refuses a send with no message field set.
 var errEmptyMessage = errors.New("livenet: send of an empty message")
 
-// send serializes one message. Fragments, fragment acks, and the hot
-// control messages (heartbeats, strobes, plan confirmations, peer-down
-// reports) are routed to fixed-layout typed frames; the job- and
-// membership-rate remainder (registration, submissions, topology plans,
-// launches, reports) is one 'G' frame built in pooled scratch borrowed
-// under wmu.
+// send writes one message as one frame. A fragment goes through
+// sendFrag; every other kind is encoded by appendFrame into the conn's
+// send scratch.
 func (c *conn) send(m Message) error {
-	switch {
-	case m.Frag != nil:
+	if m.Frag != nil {
 		return c.sendFrag(m.Frag)
-	case m.FragAck != nil:
-		return c.sendAck(m.FragAck)
-	case m.Ping != nil:
-		return c.sendPing(m.Ping)
-	case m.Pong != nil:
-		return c.sendPong(m.Pong)
-	case m.Strobe != nil:
-		return c.sendStrobe(m.Strobe)
-	case m.StrobeAck != nil:
-		return c.sendStrobeAck(m.StrobeAck)
-	case m.PlanAck != nil:
-		return c.sendPlanAck(m.PlanAck)
-	case m.ReplanAck != nil:
-		return c.sendReplanAck(m.ReplanAck)
-	case m.PeerDown != nil:
-		return c.sendPeerDown(m.PeerDown)
-	case m.Manifest != nil:
-		return c.sendManifest(m.Manifest)
-	case m.Have != nil:
-		return c.sendHave(m.Have)
-	case m.NeedMask != nil:
-		return c.sendNeedMask(m.NeedMask)
-	}
-	kind := controlKind(&m)
-	if kind == 0 {
-		return errEmptyMessage
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	tp := grabTail(0)
-	b := appendControl(append((*tp)[:0], frameControl, 0, 0, 0, 0), kind, &m)
+	tp := c.wbuf
+	if tp == nil {
+		tp = grabTail(0)
+	}
+	b, err := appendFrame((*tp)[:0], &m)
 	*tp = b
-	defer putTail(tp)
-	n := len(b) - ctlFrameHdr
-	if n > maxFrame {
-		return fmt.Errorf("livenet: oversized control frame (%d bytes)", n)
+	if err == nil {
+		err = c.writeFrame(b, nil)
 	}
-	binary.BigEndian.PutUint32(b[1:], uint32(n))
-	return c.writeFrame(b, nil)
+	if cap(b) > sendKeep {
+		// Manifests and plans outgrow the per-period frames by far:
+		// return the big buffer to the pool rather than pinning it on
+		// every link.
+		putTail(tp)
+		tp = nil
+	}
+	c.wbuf = tp
+	return err
 }
 
-// sendFrag writes one fragment frame: the header is built on the stack
-// and the payload is written straight from the caller's buffer — no
-// per-destination encoding, no copies. Safe for concurrent use with
-// other senders on the same conn.
+// sendFrag writes one fragment frame: the envelope and header are built
+// in conn scratch and the payload is written straight from the caller's
+// buffer — no per-destination encoding, no copies. Safe for concurrent
+// use with other senders on the same conn.
 func (c *conn) sendFrag(f *Frag) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+fragHdrLen]
-	hdr[0] = frameFrag
-	binary.BigEndian.PutUint32(hdr[1:], uint32(f.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(f.Index))
-	hdr[9] = 0
-	if f.Last {
-		hdr[9] = 1
+	n := fragHdrLen + len(f.Data)
+	if n > maxFrame {
+		return fmt.Errorf("livenet: oversized frame (%d bytes)", n)
 	}
-	binary.BigEndian.PutUint32(hdr[10:], f.CRC)
-	binary.BigEndian.PutUint32(hdr[14:], uint32(len(f.Data)))
-	hdr[18] = byte(f.Stripe)
-	return c.writeFrame(hdr, f.Data)
-}
-
-// sendAck writes one fixed-size ack frame.
-func (c *conn) sendAck(a *FragAck) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+ackHdrLen]
-	hdr[0] = frameAck
-	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Index))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Node))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Epoch))
-	hdr[17] = 0
-	if a.OK {
-		hdr[17] = 1
-	}
-	hdr[18] = byte(a.Stripe)
-	return c.writeFrame(hdr, nil)
-}
-
-// sendPing writes one fixed-size ping frame (zero allocations).
-func (c *conn) sendPing(p *Ping) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+pingBodyLen]
-	hdr[0] = framePing
-	binary.BigEndian.PutUint64(hdr[1:], uint64(p.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Epoch))
-	return c.writeFrame(hdr, nil)
-}
-
-// sendPong writes one fixed-size pong-ledger frame (zero allocations).
-func (c *conn) sendPong(p *Pong) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+pongBodyLen]
-	hdr[0] = framePong
-	binary.BigEndian.PutUint64(hdr[1:], uint64(p.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Node))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(p.Epoch))
-	binary.BigEndian.PutUint64(hdr[17:], uint64(p.MinSeq))
-	binary.BigEndian.PutUint64(hdr[25:], p.Absent)
-	return c.writeFrame(hdr, nil)
-}
-
-// sendStrobe writes one fixed-size strobe frame (zero allocations).
-func (c *conn) sendStrobe(s *Strobe) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+strobeBodyLen]
-	hdr[0] = frameStrobe
-	binary.BigEndian.PutUint64(hdr[1:], uint64(s.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(s.Row))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(s.Epoch))
-	return c.writeFrame(hdr, nil)
-}
-
-// sendStrobeAck writes one fixed-size strobe-ack frame (zero
-// allocations).
-func (c *conn) sendStrobeAck(a *StrobeAck) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+strobeAckBodyLen]
-	hdr[0] = frameStrobeAck
-	binary.BigEndian.PutUint64(hdr[1:], uint64(a.Seq))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Node))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Epoch))
-	return c.writeFrame(hdr, nil)
+	w := wire{b: binary.BigEndian.AppendUint32(append(c.hdr[:0], frameFrag), uint32(n))}
+	w.fragHdr(f)
+	return c.writeFrame(w.b, f.Data)
 }
 
 // ctlErr clips a control-frame error string to the wire bound.
@@ -946,58 +809,12 @@ func ctlErr(s string) string {
 	return s
 }
 
-// sendPlanAck writes a typed plan-confirmation frame: fixed part plus
-// the (usually empty) error string.
-func (c *conn) sendPlanAck(a *PlanAck) error {
-	e := ctlErr(a.Err)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+planAckFixedLen]
-	hdr[0] = framePlanAck
-	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
-	binary.BigEndian.PutUint16(hdr[9:], uint16(len(e)))
-	return c.writeFrameString(hdr, e)
-}
-
-// sendReplanAck writes a typed replan-confirmation frame.
-func (c *conn) sendReplanAck(a *ReplanAck) error {
-	e := ctlErr(a.Err)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+replanAckFixedLen]
-	hdr[0] = frameReplanAck
-	binary.BigEndian.PutUint32(hdr[1:], uint32(a.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(a.Node))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(a.Epoch))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(a.Received))
-	hdr[17] = byte(a.Stripe)
-	binary.BigEndian.PutUint16(hdr[18:], uint16(len(e)))
-	return c.writeFrameString(hdr, e)
-}
-
-// sendPeerDown writes a typed peer-down report frame.
-func (c *conn) sendPeerDown(d *PeerDown) error {
-	e := ctlErr(d.Err)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+peerDownFixedLen]
-	hdr[0] = framePeerDown
-	binary.BigEndian.PutUint32(hdr[1:], uint32(d.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(d.Node))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(d.From))
-	binary.BigEndian.PutUint16(hdr[13:], uint16(len(e)))
-	return c.writeFrameString(hdr, e)
-}
-
-// tailPool recycles the scratch buffers for variable-length typed-frame
-// tails (manifest chunk records, HAVE/need bitmap words) on both the
-// encode and decode paths. The scratch used to be a grown-once buffer
-// owned by each conn, which sizes the fleet's tail memory by the number
-// of connections — O(cluster) with hundreds of NMs in one process. A
-// tail is only live while one frame is being built or decoded, so the
-// pool's working set is the number of conns concurrently inside a
-// varlen send/recv: O(fanout), not O(cluster).
+// tailPool recycles the scratch buffers for long frame bodies
+// (manifests, plans, launches) on both the encode and decode paths.
+// A body is only live while one frame is being built or decoded, so the
+// pool's working set is the number of conns concurrently inside such a
+// send/recv — O(fanout), not O(cluster) as a grown-once buffer per conn
+// would be.
 var tailPool sync.Pool
 
 // grabTail returns pooled tail scratch with at least n usable bytes.
@@ -1015,86 +832,6 @@ func grabTail(n int) *[]byte {
 }
 
 func putTail(p *[]byte) { tailPool.Put(p) }
-
-// sendHello writes the shared-listener routing frame; it must be the
-// first frame on a connection dialed through a PeerHub address.
-func (c *conn) sendHello(node int) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+helloBodyLen]
-	hdr[0] = frameHello
-	binary.BigEndian.PutUint32(hdr[1:], uint32(node))
-	return c.writeFrame(hdr, nil)
-}
-
-// sendManifest writes a typed manifest frame: fixed part in the conn
-// scratch, per-chunk hash records in pooled tail scratch (zero
-// steady-state allocations).
-func (c *conn) sendManifest(m *Manifest) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+manifestFixedLen]
-	hdr[0] = frameManifest
-	binary.BigEndian.PutUint32(hdr[1:], uint32(m.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(m.Epoch))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(m.ChunkBytes))
-	binary.BigEndian.PutUint32(hdr[13:], m.ImageCRC)
-	binary.BigEndian.PutUint64(hdr[17:], uint64(m.TotalBytes))
-	binary.BigEndian.PutUint32(hdr[25:], uint32(len(m.Hashes)))
-	hdr[29] = byte(m.Stripe)
-	tp := grabTail(len(m.Hashes) * 12)
-	tail := *tp
-	for i, h := range m.Hashes {
-		binary.BigEndian.PutUint64(tail[i*12:], h)
-		binary.BigEndian.PutUint32(tail[i*12+8:], m.CRCs[i])
-	}
-	err := c.writeFrame(hdr, tail)
-	putTail(tp)
-	return err
-}
-
-// sendHave writes a typed aggregated cache-ledger frame (zero
-// steady-state allocations).
-func (c *conn) sendHave(h *Have) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+haveFixedLen]
-	hdr[0] = frameHave
-	binary.BigEndian.PutUint32(hdr[1:], uint32(h.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(h.Node))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(h.Epoch))
-	binary.BigEndian.PutUint16(hdr[13:], uint16(len(h.Bits)))
-	hdr[15] = byte(h.Stripe)
-	tp := grabTail(len(h.Bits) * 8)
-	tail := *tp
-	for i, w := range h.Bits {
-		binary.BigEndian.PutUint64(tail[i*8:], w)
-	}
-	err := c.writeFrame(hdr, tail)
-	putTail(tp)
-	return err
-}
-
-// sendNeedMask writes a typed stream-announcement frame (zero
-// steady-state allocations).
-func (c *conn) sendNeedMask(n *NeedMask) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	hdr := c.hdr[:1+needFixedLen]
-	hdr[0] = frameNeed
-	binary.BigEndian.PutUint32(hdr[1:], uint32(n.Job))
-	binary.BigEndian.PutUint32(hdr[5:], uint32(n.Epoch))
-	binary.BigEndian.PutUint16(hdr[9:], uint16(len(n.Bits)))
-	hdr[11] = byte(n.Stripe)
-	tp := grabTail(len(n.Bits) * 8)
-	tail := *tp
-	for i, w := range n.Bits {
-		binary.BigEndian.PutUint64(tail[i*8:], w)
-	}
-	err := c.writeFrame(hdr, tail)
-	putTail(tp)
-	return err
-}
 
 // writeFrame writes header+payload and flushes. Caller holds wmu.
 func (c *conn) writeFrame(hdr, payload []byte) error {
@@ -1114,297 +851,63 @@ func (c *conn) writeFrame(hdr, payload []byte) error {
 	return nil
 }
 
-// writeFrameString is writeFrame with a string tail (control-frame
-// error strings), avoiding a []byte conversion allocation. Caller
-// holds wmu.
-func (c *conn) writeFrameString(hdr []byte, tail string) error {
-	if _, err := c.w.Write(hdr); err != nil {
-		return err
+// parseEnvelope splits a frame envelope into its type and body length,
+// refusing a length over maxFrame.
+func parseEnvelope(h []byte) (t byte, n int, err error) {
+	t, n = h[0], int(binary.BigEndian.Uint32(h[1:frameHdr]))
+	if n > maxFrame {
+		return t, n, fmt.Errorf("livenet: oversized frame (%d bytes)", n)
 	}
-	if len(tail) > 0 {
-		if _, err := c.w.WriteString(tail); err != nil {
-			return err
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	c.sent.Add(int64(len(hdr) + len(tail)))
-	c.sentFrames.Add(1)
-	return nil
+	return t, n, nil
 }
 
 // recv blocks for the next message. A received Frag's Data is a pooled
-// buffer: the consumer must call releaseFragBuf(f.Data) when done.
+// buffer: the consumer must call releaseFragBuf(f.Data) when done. The
+// hot kinds decode into conn scratch (see Message).
 func (c *conn) recv() (Message, error) {
-	if _, err := io.ReadFull(c.r, c.rbuf[:1]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rbuf[:frameHdr]); err != nil {
 		return Message{}, err
 	}
-	ft := c.rbuf[0]
-	switch ft {
-	case frameControl:
-		lb := c.rbuf[:4]
-		if _, err := io.ReadFull(c.r, lb); err != nil {
-			return Message{}, err
-		}
-		n := int(binary.BigEndian.Uint32(lb))
-		if n > maxFrame {
-			return Message{}, fmt.Errorf("livenet: oversized control frame (%d bytes)", n)
-		}
-		tp, err := c.readTail(n)
-		if err != nil {
-			return Message{}, err
-		}
-		m, err := decodeControl(*tp)
-		putTail(tp)
-		return m, err
-	case frameFrag:
-		hb := c.rbuf[:fragHdrLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		n := int(binary.BigEndian.Uint32(hb[13:]))
-		if n > maxFrame {
-			return Message{}, fmt.Errorf("livenet: oversized fragment frame (%d bytes)", n)
-		}
-		f := &Frag{
-			Job:    int(binary.BigEndian.Uint32(hb[0:])),
-			Index:  int(binary.BigEndian.Uint32(hb[4:])),
-			Last:   hb[8] == 1,
-			CRC:    binary.BigEndian.Uint32(hb[9:]),
-			Stripe: int(hb[17]),
-			Data:   grabFragBuf(n),
-		}
-		if _, err := io.ReadFull(c.r, f.Data); err != nil {
-			releaseFragBuf(f.Data)
-			return Message{}, err
-		}
-		return Message{Frag: f}, nil
-	case frameAck:
-		hb := c.rbuf[:ackHdrLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rAck = FragAck{
-			Job:    int(binary.BigEndian.Uint32(hb[0:])),
-			Index:  int(binary.BigEndian.Uint32(hb[4:])),
-			Node:   int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch:  int(binary.BigEndian.Uint32(hb[12:])),
-			OK:     hb[16] == 1,
-			Stripe: int(hb[17]),
-		}
-		return Message{FragAck: &c.rAck}, nil
-	case framePing:
-		hb := c.rbuf[:pingBodyLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rPing = Ping{
-			Seq:   int64(binary.BigEndian.Uint64(hb[0:])),
-			Epoch: int(binary.BigEndian.Uint32(hb[8:])),
-		}
-		return Message{Ping: &c.rPing}, nil
-	case framePong:
-		hb := c.rbuf[:pongBodyLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rPong = Pong{
-			Seq:    int64(binary.BigEndian.Uint64(hb[0:])),
-			Node:   int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch:  int(binary.BigEndian.Uint32(hb[12:])),
-			MinSeq: int64(binary.BigEndian.Uint64(hb[16:])),
-			Absent: binary.BigEndian.Uint64(hb[24:]),
-		}
-		return Message{Pong: &c.rPong}, nil
-	case frameStrobe:
-		hb := c.rbuf[:strobeBodyLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rStrobe = Strobe{
-			Seq:   int64(binary.BigEndian.Uint64(hb[0:])),
-			Row:   int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch: int(binary.BigEndian.Uint32(hb[12:])),
-		}
-		return Message{Strobe: &c.rStrobe}, nil
-	case frameStrobeAck:
-		hb := c.rbuf[:strobeAckBodyLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rStrobeAck = StrobeAck{
-			Seq:   int64(binary.BigEndian.Uint64(hb[0:])),
-			Node:  int(binary.BigEndian.Uint32(hb[8:])),
-			Epoch: int(binary.BigEndian.Uint32(hb[12:])),
-		}
-		return Message{StrobeAck: &c.rStrobeAck}, nil
-	case framePlanAck:
-		hb := c.rbuf[:planAckFixedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[8:])))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{PlanAck: &PlanAck{
-			Job:  int(binary.BigEndian.Uint32(hb[0:])),
-			Node: int(binary.BigEndian.Uint32(hb[4:])),
-			Err:  e,
-		}}, nil
-	case frameReplanAck:
-		hb := c.rbuf[:replanAckFixedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[17:])))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{ReplanAck: &ReplanAck{
-			Job:      int(binary.BigEndian.Uint32(hb[0:])),
-			Node:     int(binary.BigEndian.Uint32(hb[4:])),
-			Epoch:    int(binary.BigEndian.Uint32(hb[8:])),
-			Received: int(binary.BigEndian.Uint32(hb[12:])),
-			Stripe:   int(hb[16]),
-			Err:      e,
-		}}, nil
-	case framePeerDown:
-		hb := c.rbuf[:peerDownFixedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		e, err := c.readCtlErr(int(binary.BigEndian.Uint16(hb[12:])))
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{PeerDown: &PeerDown{
-			Job:  int(binary.BigEndian.Uint32(hb[0:])),
-			Node: int(binary.BigEndian.Uint32(hb[4:])),
-			From: int(binary.BigEndian.Uint32(hb[8:])),
-			Err:  e,
-		}}, nil
-	case frameManifest:
-		hb := c.rbuf[:manifestFixedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		nch := int(binary.BigEndian.Uint32(hb[24:]))
-		if nch*12 > maxFrame {
-			return Message{}, fmt.Errorf("livenet: oversized manifest (%d chunks)", nch)
-		}
-		tp, err := c.readTail(nch * 12)
-		if err != nil {
-			return Message{}, err
-		}
-		tail := *tp
-		m := &c.rManifest
-		m.Job = int(binary.BigEndian.Uint32(hb[0:]))
-		m.Epoch = int(binary.BigEndian.Uint32(hb[4:]))
-		m.ChunkBytes = int(binary.BigEndian.Uint32(hb[8:]))
-		m.ImageCRC = binary.BigEndian.Uint32(hb[12:])
-		m.TotalBytes = int64(binary.BigEndian.Uint64(hb[16:]))
-		m.Stripe = int(hb[28])
-		if cap(m.Hashes) < nch {
-			m.Hashes = make([]uint64, nch)
-			m.CRCs = make([]uint32, nch)
-		}
-		m.Hashes, m.CRCs = m.Hashes[:nch], m.CRCs[:nch]
-		for i := 0; i < nch; i++ {
-			m.Hashes[i] = binary.BigEndian.Uint64(tail[i*12:])
-			m.CRCs[i] = binary.BigEndian.Uint32(tail[i*12+8:])
-		}
-		putTail(tp)
-		return Message{Manifest: m}, nil
-	case frameHave:
-		hb := c.rbuf[:haveFixedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		nw := int(binary.BigEndian.Uint16(hb[12:]))
-		tp, err := c.readTail(nw * 8)
-		if err != nil {
-			return Message{}, err
-		}
-		tail := *tp
-		h := &c.rHave
-		h.Job = int(binary.BigEndian.Uint32(hb[0:]))
-		h.Node = int(binary.BigEndian.Uint32(hb[4:]))
-		h.Epoch = int(binary.BigEndian.Uint32(hb[8:]))
-		h.Stripe = int(hb[14])
-		if cap(h.Bits) < nw {
-			h.Bits = make([]uint64, nw)
-		}
-		h.Bits = h.Bits[:nw]
-		for i := 0; i < nw; i++ {
-			h.Bits[i] = binary.BigEndian.Uint64(tail[i*8:])
-		}
-		putTail(tp)
-		return Message{Have: h}, nil
-	case frameNeed:
-		hb := c.rbuf[:needFixedLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		nw := int(binary.BigEndian.Uint16(hb[8:]))
-		tp, err := c.readTail(nw * 8)
-		if err != nil {
-			return Message{}, err
-		}
-		tail := *tp
-		n := &c.rNeed
-		n.Job = int(binary.BigEndian.Uint32(hb[0:]))
-		n.Epoch = int(binary.BigEndian.Uint32(hb[4:]))
-		n.Stripe = int(hb[10])
-		if cap(n.Bits) < nw {
-			n.Bits = make([]uint64, nw)
-		}
-		n.Bits = n.Bits[:nw]
-		for i := 0; i < nw; i++ {
-			n.Bits[i] = binary.BigEndian.Uint64(tail[i*8:])
-		}
-		putTail(tp)
-		return Message{NeedMask: n}, nil
-	case frameHello:
-		hb := c.rbuf[:helloBodyLen]
-		if _, err := io.ReadFull(c.r, hb); err != nil {
-			return Message{}, err
-		}
-		c.rHello = Hello{Node: int(binary.BigEndian.Uint32(hb[0:]))}
-		return Message{Hello: &c.rHello}, nil
-	default:
-		return Message{}, fmt.Errorf("livenet: unknown frame type %#x", ft)
+	t, n, err := parseEnvelope(c.rbuf[:frameHdr])
+	if err != nil {
+		return Message{}, err
 	}
+	if t == frameFrag {
+		return c.recvFrag(n)
+	}
+	body := c.rbuf[:min(n, len(c.rbuf))]
+	if n > len(c.rbuf) {
+		tp := grabTail(n)
+		defer putTail(tp)
+		body = *tp
+	}
+	if _, err := io.ReadFull(c.r, body); err != nil {
+		return Message{}, err
+	}
+	return decodeFrame(t, body, &c.rs)
 }
 
-// readTail reads a variable frame tail into pooled scratch. The caller
-// decodes out of it and returns it with putTail before recv returns —
-// the decoded message lives in the conn's typed scratch structs (or, for
-// a 'G' frame, in freshly allocated ones), never in the tail itself.
-func (c *conn) readTail(n int) (*[]byte, error) {
-	tp := grabTail(n)
-	if _, err := io.ReadFull(c.r, *tp); err != nil {
-		putTail(tp)
-		return nil, err
+// recvFrag reads an 'F' body of n bytes: the fixed header through the
+// codec, then the payload straight into a pooled fragment buffer.
+func (c *conn) recvFrag(n int) (Message, error) {
+	if n < fragHdrLen {
+		return Message{}, fmt.Errorf("livenet: short fragment frame (%d bytes)", n)
 	}
-	return tp, nil
-}
-
-// readCtlErr reads a control frame's trailing error string. Zero-length
-// (the overwhelmingly common case) costs nothing.
-func (c *conn) readCtlErr(n int) (string, error) {
-	if n == 0 {
-		return "", nil
+	hb := c.rbuf[:fragHdrLen]
+	if _, err := io.ReadFull(c.r, hb); err != nil {
+		return Message{}, err
 	}
-	if n > maxCtlErr {
-		return "", fmt.Errorf("livenet: oversized control error (%d bytes)", n)
+	m, err := decodeFrame(frameFrag, hb, nil)
+	if err != nil {
+		return Message{}, err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(c.r, b); err != nil {
-		return "", err
+	f := m.Frag
+	f.Data = grabFragBuf(n - fragHdrLen)
+	if _, err := io.ReadFull(c.r, f.Data); err != nil {
+		releaseFragBuf(f.Data)
+		return Message{}, err
 	}
-	return string(b), nil
+	return m, nil
 }
 
 // sentBytes reports how many bytes have been written on this conn.
@@ -1468,7 +971,7 @@ func dialWith(dialer Dialer, wrap func(net.Conn) net.Conn, addr string) (*conn, 
 }
 
 // dialProf is dialWith with an explicit connection profile. A peer
-// address carrying a "#node" suffix routes through a shared PeerHub
+// address carrying a "#node" suffix routes through a PeerHub
 // listener: the suffix is stripped before dialing and a hello frame
 // naming the target NM opens the connection.
 func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof connProfile) (*conn, error) {
@@ -1491,7 +994,7 @@ func dialProf(dialer Dialer, wrap func(net.Conn) net.Conn, addr string, prof con
 				// The hello must land before any other frame so the hub
 				// can route the connection; a failure here is a transient
 				// connection fault like any dial error — retry.
-				if err = c.sendHello(node); err != nil {
+				if err = c.send(Message{Hello: &Hello{Node: node}}); err != nil {
 					c.close()
 					continue
 				}

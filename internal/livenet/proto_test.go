@@ -67,8 +67,8 @@ func TestFrameRoundTripFrag(t *testing.T) {
 func TestFrameRoundTripAck(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
-		ca.sendAck(&FragAck{Job: 9, Index: 41, Node: 6, OK: true})
-		ca.sendAck(&FragAck{Job: 9, Index: 2, Node: 5, OK: false})
+		ca.send(Message{FragAck: &FragAck{Job: 9, Index: 41, Node: 6, OK: true}})
+		ca.send(Message{FragAck: &FragAck{Job: 9, Index: 2, Node: 5, OK: false}})
 	}()
 	m, err := cb.recv()
 	if err != nil || m.FragAck == nil || !m.FragAck.OK || m.FragAck.Index != 41 || m.FragAck.Node != 6 {
@@ -88,7 +88,7 @@ func TestFrameInterleaving(t *testing.T) {
 	go func() {
 		ca.send(Message{Ping: &Ping{Seq: 1}})
 		ca.sendFrag(&Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)})
-		ca.sendAck(&FragAck{Job: 1, Index: 0, Node: 2, OK: true})
+		ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 2, OK: true}})
 		ca.send(Message{Strobe: &Strobe{Row: 1}})
 	}()
 	wantKinds := []string{"ping", "frag", "ack", "strobe"}
@@ -153,7 +153,7 @@ func TestFragCheckAllocs(t *testing.T) {
 		t.Fatalf("sendFrag allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.sendAck(&FragAck{Job: 5, Index: 11, Node: 1, OK: true}); err != nil {
+		if err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, OK: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
@@ -192,7 +192,7 @@ func TestConnSentBytes(t *testing.T) {
 	if err := ca.sendFrag(&Frag{Job: 1, Index: 0, Data: data, CRC: fragCRC(data)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ca.sendAck(&FragAck{Job: 1, Index: 0, Node: 0, OK: true}); err != nil {
+	if err := ca.send(Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 0, OK: true}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -200,7 +200,11 @@ func TestConnSentBytes(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("receiver stuck")
 	}
-	want := int64(1+fragHdrLen+1000) + int64(1+ackHdrLen)
+	ack, err := appendFrame(nil, &Message{FragAck: &FragAck{Job: 1, Index: 0, Node: 0, OK: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(frameHdr+fragHdrLen+1000) + int64(len(ack))
 	if got := ca.sentBytes(); got != want {
 		t.Fatalf("sentBytes = %d, want %d", got, want)
 	}

@@ -305,7 +305,7 @@ func TestStripedFragAllocs(t *testing.T) {
 		t.Fatalf("striped sendFrag allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := c.sendAck(&FragAck{Job: 5, Index: 11, Node: 1, Stripe: 3, OK: true}); err != nil {
+		if err := c.send(Message{FragAck: &FragAck{Job: 5, Index: 11, Node: 1, Stripe: 3, OK: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
